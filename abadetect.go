@@ -91,7 +91,6 @@ type options struct {
 	reclaim     string
 	elimination int
 	localCache  int
-	combining   bool
 	growTo      int
 	traceCap    int
 }

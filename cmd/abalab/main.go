@@ -90,7 +90,6 @@ func run(args []string, out io.Writer) error {
 		seed     = fs.Uint64("seed", 0, "override the load profiles' RNG seed for -load runs (0 = each profile's committed default)")
 		elim     = fs.Int("elim", 0, "for -load: pin every cell to an elimination array of this many slots (stack)")
 		cache    = fs.Int("cache", 0, "for -load: pin every cell to per-worker node caches of this capacity")
-		combine  = fs.Bool("combine", false, "for -load: pin every cell to flat-combining hot buckets (map)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -181,8 +180,8 @@ func run(args []string, out io.Writer) error {
 			schemeFilter = "all"
 		}
 		opts := bench.E13Options{Seed: *seed}
-		if *elim != 0 || *cache != 0 || *combine {
-			opts.Tuning = &bench.Tuning{Elimination: *elim, LocalCache: *cache, Combining: *combine}
+		if *elim != 0 || *cache != 0 {
+			opts.Tuning = &bench.Tuning{Elimination: *elim, LocalCache: *cache}
 		}
 		tbl, err := bench.E13LoadMatrixOpts(structFilter, schemeFilter, *loadP, opts)
 		if err != nil {

@@ -277,8 +277,9 @@ func TestBenchComparePR3CoversApps(t *testing.T) {
 }
 
 // pr6Row reports whether an E13 row key names a cell that postdates the PR5
-// snapshot: a tuned fast-path variant (+elim/+fc/+cache label suffixes), one
-// of the backpressure profiles, or a stack traffic cell.
+// snapshot: a tuned fast-path variant (+elim/+fc/+cache label suffixes; +fc
+// only in snapshots, from the deleted flat-combining variant), one of the
+// backpressure profiles, or a stack traffic cell.
 func pr6Row(key string) bool {
 	for _, marker := range []string{"+elim", "+fc", "+cache", "/poisson-shed", "/burst-block"} {
 		if strings.Contains(key, marker) {
@@ -286,6 +287,20 @@ func pr6Row(key string) bool {
 		}
 	}
 	return strings.HasPrefix(key, "stack/")
+}
+
+// fcRow reports whether a comparison row differs from a PR6–PR10 snapshot
+// only because the map's flat-combining variant was deleted: the snapshot's
+// map/…+fc+cache16 row reads "removed", and the map/…+cache16 row that
+// replaced it as the map's tuned variant reads "new".
+func fcRow(row []string) bool {
+	switch row[4] {
+	case "removed":
+		return strings.HasPrefix(row[0], "map/") && strings.Contains(row[0], "+fc+cache16")
+	case "new":
+		return strings.HasPrefix(row[0], "map/") && strings.HasSuffix(row[0], "+cache16")
+	}
+	return false
 }
 
 // pr9Row reports whether a row key names a cell that postdates the pre-PR9
@@ -356,7 +371,7 @@ func TestBenchComparePR6CoversTraffic(t *testing.T) {
 			t.Fatalf("table %d is %q, want %q", i, tbl.ID, wantIDs[i])
 		}
 		for _, row := range tbl.Rows {
-			if (row[4] == "new" && !pr9Row(row[0])) || row[4] == "removed" {
+			if ((row[4] == "new" && !pr9Row(row[0])) || row[4] == "removed") && !fcRow(row) {
 				t.Errorf("%s row %v does not line up with the PR6 snapshot", tbl.ID, row)
 			}
 		}
@@ -436,7 +451,7 @@ func TestBenchComparePR7CoversReadScaling(t *testing.T) {
 			t.Errorf("%s has no rows", tbl.ID)
 		}
 		for _, row := range tbl.Rows {
-			if (row[4] == "new" && !pr9Row(row[0])) || row[4] == "removed" {
+			if ((row[4] == "new" && !pr9Row(row[0])) || row[4] == "removed") && !fcRow(row) {
 				t.Errorf("%s row %v does not line up with the PR7 snapshot", tbl.ID, row)
 			}
 		}
@@ -503,7 +518,7 @@ func TestLoadMatrixFlag(t *testing.T) {
 	}
 	for _, row := range tables[0].Rows {
 		if !strings.HasPrefix(row[0], "map/") ||
-			!(strings.HasSuffix(row[0], "+none/steady") || strings.HasSuffix(row[0], "+none/steady+fc+cache16")) {
+			!(strings.HasSuffix(row[0], "+none/steady") || strings.HasSuffix(row[0], "+none/steady+cache16")) {
 			t.Errorf("unexpected row key %q", row[0])
 		}
 	}
@@ -516,7 +531,7 @@ func TestLoadMatrixFlag(t *testing.T) {
 }
 
 func TestLoadMatrixTuningFlags(t *testing.T) {
-	// -elim/-cache/-combine pin every cell to one explicit tuning, and
+	// -elim/-cache pin every cell to one explicit tuning, and
 	// -seed replays the profile on a different RNG stream.
 	var buf bytes.Buffer
 	if err := run([]string{"-load", "steady", "-reclaim", "none", "-app", "stack",

@@ -62,9 +62,9 @@
 //
 // The paper's §1 motivation ships as a public application layer: NewStack
 // (Treiber stack), NewQueue (Michael–Scott queue), NewEventFlag (the
-// resettable busy-wait flag), and NewMap (a sharded lock-free hash map).
-// Each structure's mutable references — stack head, queue head/tail and
-// per-node next pointers, the flag itself, the map's bucket heads and
+// resettable busy-wait flag), and NewMap (a split-ordered lock-free hash
+// map).  Each structure's mutable references — stack head, queue head/tail
+// and per-node next pointers, the flag itself, the map's bucket links and
 // marked next links — are Guards (internal/guard): a unified Load /
 // conditional-Commit / Validate abstraction whose regime is a constructor
 // option.  WithProtection selects
@@ -80,18 +80,23 @@
 // the deterministic corruption scripts.  The abalab -app command runs the
 // whole structure × guard × implementation matrix (experiment E11).
 //
-// The map (internal/kv) is the keyed cache shape: chained buckets of
-// recycled pool nodes under the Michael-style marked-link protocol.  A link
-// word packs (successor index, mark bit); inserts land only at bucket heads
-// (insert-at-head is ABA-immune), a delete marks its victim's next link
+// The map (internal/kv) is the keyed cache shape: one list of recycled pool
+// nodes sorted by split-order key (bit-reversed hash), under the
+// Michael-style marked-link protocol, with B buckets as shortcuts into it.
+// A bucket is a dummy that exists only as its own guarded link, sorting
+// just before the keys it owns, and the constructed directory is linked at
+// construction.  A link word packs (target, dummy bit, mark bit); a Put
+// inserts in front of its key's run, a delete marks its victim's next link
 // with a conditional commit — freezing the link — before unlinking it past
 // the predecessor, and traversals help finish unlinks.  Keys and values are
 // immutable per node (an overwrite inserts a shadowing node and kills the
 // duplicate), so reads never race updates.  In m(n)/t(n) vocabulary the map
-// spends one guard per bucket head plus one per node next-link (B + cap
-// guards over 2·cap value registers) and walks O(chain) guard hops per
-// operation — each hop paying the selected regime's t(n) — which is exactly
-// the per-reference cost model the paper prices, multiplied by a traversal.
+// spends one guard per bucket plus one per node next-link, over two value
+// registers per node, plus two resize words (the directory size and the
+// capacity snapshot): m = B + cap guards + 2·cap registers + 2.  It walks
+// O(run) hops per operation, each hop one guard Load, one key read and one
+// Validate at the selected regime's t(n) — exactly the per-reference cost
+// model the paper prices, multiplied by a traversal.
 //
 // # Traffic layer
 //
@@ -138,36 +143,38 @@
 // WithGrowth(maxCapacity) makes the map resizable: it starts at its
 // constructed capacity and expands live — under concurrent gets, puts, and
 // deletes — up to the ceiling, with no stop-the-world phase and no rehash.
-// The protocol is split-ordered (Shalev–Shachnai) over the existing marked
-// links: every node lives in one list sorted by bit-reversed hash, so a
-// bucket-directory doubling moves no node — a new bucket is one dummy node
-// inserted at its bit-reversed sort position and published in a directory
-// slot, initialized lazily by recursively splitting its parent.  Node
+// Every map already runs the split-ordered (Shalev–Shachnai) protocol, so a
+// bucket-directory doubling moves no node: the resizer links each new
+// bucket's dummy into the list at its bit-reversed sort position — an
+// ordinary guarded insert — and only then publishes the doubled size.  Node
 // storage grows in geometric segments through the pool seam (nodes are
 // array indices, so growth mints fresh indices and never relocates one),
 // and the hp/epoch reclaimers are sized for the ceiling up front, so
 // retirement accounting is untouched mid-resize.
 //
-// In m(n)/t(n) vocabulary: space is B + 2·cap guards plus 3·cap registers
-// where B and cap now grow geometrically to the ceiling — the map only ever
-// pays for the capacity tier it has reached, at ≤2x the live requirement —
-// and the resize work is O(1) amortized guard operations per insert (each
-// split inserts one dummy; each segment append is one publication), each
-// paying the selected regime's t(n) like any other guarded step.  A
-// directory split commits through the same Guards as normal traffic, which
-// makes resizing a new ABA surface rather than a trusted phase: a split's
-// dummy insert can restore a victim's armed link word bit-for-bit.  The
-// deterministic scenario runs the §1 ladder over exactly that interleaving
-// (raw+none corrupts; tagged/llsc/detector reject it as a counted
-// near-miss; hp/epoch prevent the recycle outright), and StructureAudit
-// reports Splits, SegmentAppends, and ResizeRetries alongside the
-// structural checks.  Experiment E15 (abalab -grow) sweeps the growth
-// matrix to 1M keys / 10M ops under live traffic.
+// In m(n)/t(n) vocabulary the space formula stays B + cap guards plus
+// 2·cap registers plus the 2 resize words, where B and cap now grow
+// geometrically to the ceiling — the map only ever pays for the capacity
+// tier it has reached, at ≤2x the live requirement — and the resize work is
+// O(1) amortized guard operations per insert (each split links one dummy
+// per new bucket; each segment append is one publication), each paying the
+// selected regime's t(n) like any other guarded step.  A directory split
+// commits through the same Guards as normal traffic, which makes resizing
+// an ABA surface rather than a trusted phase: a doubling can change what
+// lies behind a stalled deleter's armed unlink.  The deterministic scenario
+// plays exactly that: the victim arms "unlink my node, the last one", the
+// adversary empties the run, the directory doubles so a new dummy now ends
+// the run, and recycling both nodes restores the victim's armed link word —
+// so a fooled commit cuts the new dummy off the list.  Raw+none corrupts;
+// tagged/llsc/detector reject it as a counted near-miss; hp/epoch prevent
+// the recycle outright.  StructureAudit reports Splits, SegmentAppends, and
+// ResizeRetries alongside the structural checks.  Experiment E15 (abalab
+// -grow) sweeps the growth matrix to 1M keys / 10M ops under live traffic.
 //
 // # Tail-latency knobs
 //
-// Three contention-diffusion options trade m(n) space for t(n) steps on the
-// tail, all registry-wired and all off by default:
+// Two contention-diffusion options trade m(n) space for t(n) steps on the
+// tail, both registry-wired and both off by default:
 //
 //   - WithElimination(slots) adds an elimination-backoff exchanger to
 //     push/pop-shaped structures: a push that loses its head commit parks
@@ -177,11 +184,6 @@
 //     parked node is never linked into the structure and its value is read
 //     only after the take commit — so it is sound under every regime,
 //     including ProtectionRaw.  Cost: slots extra guards.
-//   - WithCombining() adds flat combining to keyed structures: one lock
-//     word and n publication slots per bucket; a writer that wins the lock
-//     applies every pending op in one cache-hot sweep while losers publish
-//     and wait.  Uncontended reads bypass the protocol entirely.  Cost:
-//     n+1 words per bucket, none on the read path.
 //   - WithLocalCache(capacity) puts a per-process LIFO free stack in front
 //     of the shared node pool; an alloc/release pair that stays on one
 //     process is two private operations with no shared steps at all.  The
@@ -195,7 +197,7 @@
 // count — goodput (admitted ops per second) and shed are reported
 // separately rather than letting overload masquerade as throughput.
 // StructureAudit exposes the fast-path ledger: elimination hits and misses,
-// combined ops and batches, local-cache hits and spills.
+// local-cache hits and spills.
 //
 // # Safe memory reclamation
 //

@@ -255,9 +255,9 @@ func TestHotPathAllocsMapRegimes(t *testing.T) {
 }
 
 // TestHotPathAllocsTuned pins the PR-6 fast paths at zero allocations: a
-// stack with the elimination exchanger and a per-process node cache, and a
-// map with flat-combining on — the tuning knobs buy tail latency with
-// preallocated state, never with the heap.
+// stack with the elimination exchanger and a per-process node cache — the
+// tuning knobs buy tail latency with preallocated state, never with the
+// heap.
 func TestHotPathAllocsTuned(t *testing.T) {
 	t.Run("stack+elim+cache", func(t *testing.T) {
 		s, err := NewStack(hotProcs, 8,
@@ -280,30 +280,6 @@ func TestHotPathAllocsTuned(t *testing.T) {
 		}
 		if a := s.Audit(); a.LocalCacheHits == 0 {
 			t.Error("the cycle never hit the local cache")
-		}
-	})
-	t.Run("map+combining", func(t *testing.T) {
-		m, err := NewMap(hotProcs, 16,
-			WithBackend(SlabBackend()), WithGuardedPool(),
-			WithProtection(ProtectionLLSC), WithCombining())
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := m.Handle(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var i Word
-		if got := testing.AllocsPerRun(200, func() {
-			h.Put(i&7, i)
-			h.Get(i & 7)
-			h.Delete(i & 7)
-			i++
-		}); got != 0 {
-			t.Errorf("combined map cycle allocates %.1f/op, want 0", got)
-		}
-		if a := m.Audit(); a.CombinedOps == 0 {
-			t.Error("no op went through the combiner")
 		}
 	})
 	t.Run("option-validation", func(t *testing.T) {

@@ -85,9 +85,6 @@ type StructConfig struct {
 	// LocalCache, when positive, fronts the shared pool with per-process
 	// free stacks of that capacity.
 	LocalCache int
-	// Combining enables flat-combining batching on structures with
-	// publication-slot support (the map's buckets); others ignore it.
-	Combining bool
 	// GrowTo, when positive, enables online growth on structures that
 	// support it (the map): the structure starts at its constructor capacity
 	// and extends its node space geometrically through Pool.Grow, up to
@@ -161,17 +158,6 @@ func WithLocalCache(capacity int) StructOption {
 // mid-run.  Structures without a growth protocol ignore the option.
 func WithGrowth(maxCapacity int) StructOption {
 	return func(o *StructConfig) { o.GrowTo = maxCapacity }
-}
-
-// WithCombining enables flat-combining on structures with publication-slot
-// support (the hash map's buckets): a writer that finds a bucket's combiner
-// lock free applies pending operations from other processes in a batch, so
-// the bucket chain is walked cache-hot by one process instead of being
-// fought over; when the lock is taken, operations publish and wait instead
-// of adding guard and SMR traffic.  Uncontended reads keep the existing
-// lock-free path.  Structures without combining support ignore the option.
-func WithCombining() StructOption {
-	return func(o *StructConfig) { o.Combining = true }
 }
 
 // WithTrace routes every seam of the structure — guards, pool, reclaimer,

@@ -84,7 +84,7 @@ type ReadMostly interface {
 
 // InstanceOptions selects the allocator and fast-path configuration of a
 // benchmark instance: a guarded free list, a reclaimer, and the tail-latency
-// knobs (elimination, combining, local caches).
+// knobs (elimination, local caches).
 type InstanceOptions struct {
 	// GuardedPool routes the free list through a guard of the structure's
 	// regime (see WithGuardedPool).
@@ -99,9 +99,6 @@ type InstanceOptions struct {
 	// LocalCache, when positive, fronts the pool with per-process free
 	// stacks of that capacity (see WithLocalCache).
 	LocalCache int
-	// Combining enables flat-combining batching on structures that support
-	// it (see WithCombining).
-	Combining bool
 	// GrowTo, when positive, enables online growth up to that many nodes on
 	// structures that support it (see WithGrowth).
 	GrowTo int
@@ -125,9 +122,6 @@ func (io InstanceOptions) StructOpts(mk guard.Maker) []StructOption {
 	if io.LocalCache > 0 {
 		opts = append(opts, WithLocalCache(io.LocalCache))
 	}
-	if io.Combining {
-		opts = append(opts, WithCombining())
-	}
 	if io.GrowTo > 0 {
 		opts = append(opts, WithGrowth(io.GrowTo))
 	}
@@ -143,13 +137,10 @@ func (io InstanceOptions) StructOpts(mk guard.Maker) []StructOption {
 type FastPathStats struct {
 	// ElimHits and ElimMisses are the elimination exchanger's counters.
 	ElimHits, ElimMisses int64
-	// CombinedOps counts operations a combiner applied on behalf of other
-	// processes; CombineBatches counts combiner acquisitions.
-	CombinedOps, CombineBatches int64
 }
 
-// FastPather is the optional Instance seam for structures with elimination
-// or combining fast paths; instances without one simply don't implement it.
+// FastPather is the optional Instance seam for structures with an
+// elimination fast path; instances without one simply don't implement it.
 type FastPather interface {
 	FastPathStats() FastPathStats
 }

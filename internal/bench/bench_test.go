@@ -175,7 +175,7 @@ func TestE13LoadMatrixShape(t *testing.T) {
 		if row[6] == "" || row[7] == "" || row[8] == "" {
 			t.Errorf("row %v lacks latency percentiles", row)
 		}
-		if strings.HasSuffix(row[0], "+fc+cache16") {
+		if strings.HasSuffix(row[0], "+cache16") {
 			tuned++
 			if row[10] == "-" {
 				t.Errorf("tuned row %v reports no fast-path traffic", row)

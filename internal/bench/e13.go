@@ -12,20 +12,18 @@ import (
 )
 
 // Tuning names the PR-6 fast-path knobs a traffic cell can run with:
-// elimination backoff on the stack, flat-combining on hot map buckets, and
-// per-worker node caches in front of the pool.  The zero Tuning is the
+// elimination backoff on the stack and per-worker node caches in front of
+// the pool.  The zero Tuning is the
 // untouched baseline structure.
 type Tuning struct {
 	// Elimination is the exchanger-array width (0 = off; stack only).
 	Elimination int
 	// LocalCache is the per-worker free-stack capacity (0 = off).
 	LocalCache int
-	// Combining enables flat-combining on hot buckets (map only).
-	Combining bool
 }
 
 func (t Tuning) zero() bool {
-	return t.Elimination == 0 && t.LocalCache == 0 && !t.Combining
+	return t.Elimination == 0 && t.LocalCache == 0
 }
 
 // label renders the tuning as a row-label suffix, so tuned rows key
@@ -35,9 +33,6 @@ func (t Tuning) label() string {
 	if t.Elimination > 0 {
 		fmt.Fprintf(&b, "+elim%d", t.Elimination)
 	}
-	if t.Combining {
-		b.WriteString("+fc")
-	}
 	if t.LocalCache > 0 {
 		fmt.Fprintf(&b, "+cache%d", t.LocalCache)
 	}
@@ -45,12 +40,12 @@ func (t Tuning) label() string {
 }
 
 // tunedVariant is the canonical fast-path configuration benchmarked next to
-// each structure's baseline: combining fits the keyed map, elimination fits
-// the stack, and the local cache fits anything that allocates.
+// each structure's baseline: elimination fits the stack, and the local cache
+// fits anything that allocates.
 func tunedVariant(structID string) Tuning {
 	switch structID {
 	case "map":
-		return Tuning{Combining: true, LocalCache: 16}
+		return Tuning{LocalCache: 16}
 	case "stack":
 		return Tuning{Elimination: 2, LocalCache: 16}
 	case "queue":
@@ -86,7 +81,7 @@ var nonKeyedProfiles = map[string]bool{"steady": true, "poisson": true, "poisson
 // open-loop arrivals, and bursty herds, with Zipf key popularity and a
 // configurable get/put/delete mix.  Each cell runs twice: the baseline
 // structure and a tuned variant with the PR-6 fast paths (elimination,
-// combining, local caches) switched on.  abalab exposes it as `-load`
+// local caches) switched on.  abalab exposes it as `-load`
 // (filterable with -app and -reclaim).
 func E13LoadMatrix(structFilter, schemeFilter, profileFilter string) (*Table, error) {
 	return E13LoadMatrixOpts(structFilter, schemeFilter, profileFilter, E13Options{})
@@ -197,7 +192,7 @@ func E13LoadMatrixOpts(structFilter, schemeFilter, profileFilter string, opts E1
 	}
 	t.AddNote("latency percentiles come from allocation-free log2 histograms; open-loop rows measure from the *scheduled* arrival, so queueing delay counts (no coordinated omission).")
 	t.AddNote("ops/ns-op/goodput (Mops/s) count *admitted* operations; shed is the count turned away at the admission queue, so goodput vs shed is the backpressure trade made explicit.")
-	t.AddNote("fast-path reads elim=hits/misses (elimination exchanges), comb=ops/batches (ops applied inside combiner runs, own op included), cache=hits (local free-stack allocs); tuned rows carry a +elim/+fc/+cache label suffix.")
+	t.AddNote("fast-path reads elim=hits/misses (elimination exchanges), cache=hits (local free-stack allocs); tuned rows carry a +elim/+cache label suffix.")
 	t.AddNote("keyed structures receive the profile's Zipf popularity and get/put/delete mix through the Keyed seam; others run their fixed op under the same arrival process.")
 	t.AddNote("raw+none is the §1 victim (a corrupt audit is the expected result); the sound regimes and the hp/epoch reclaimers must audit clean under every profile.")
 	t.AddNote("rows tagged backlog-dominated are unthrottled open loops: their tails measure how deep the backlog grew, not per-op service time, so -bench-compare reports them without gating on their tail gain.")
@@ -216,7 +211,6 @@ func loadRun(im registry.Impl, spec registry.GuardSpec, rim registry.Impl, p loa
 		Reclaim:     rim.NewReclaimer,
 		Elimination: tun.Elimination,
 		LocalCache:  tun.LocalCache,
-		Combining:   tun.Combining,
 	})
 	if err != nil {
 		return load.Result{}, "", "", err
@@ -240,7 +234,7 @@ func loadRun(im registry.Impl, spec registry.GuardSpec, rim registry.Impl, p loa
 }
 
 // fastPathColumn summarizes a cell's fast-path traffic: elimination
-// exchanges, flat-combined operations, and local-cache hits.  "-" means no
+// exchanges and local-cache hits.  "-" means no
 // fast path fired (or none was configured).
 func fastPathColumn(inst apps.Instance, ps apps.PoolStats) string {
 	var parts []string
@@ -248,9 +242,6 @@ func fastPathColumn(inst apps.Instance, ps apps.PoolStats) string {
 		st := fp.FastPathStats()
 		if st.ElimHits+st.ElimMisses > 0 {
 			parts = append(parts, fmt.Sprintf("elim=%d/%d", st.ElimHits, st.ElimMisses))
-		}
-		if st.CombineBatches > 0 {
-			parts = append(parts, fmt.Sprintf("comb=%d/%d", st.CombinedOps, st.CombineBatches))
 		}
 	}
 	if ps.Local.Hits > 0 {

@@ -31,8 +31,7 @@ func cycle(t *testing.T, w Handle, a, b Word) {
 // TestReadConsistentTornRead injects a completed write cycle inside the
 // reader's window and checks each regime's verdict: the sound regimes
 // (tagged, LL/SC, detector) force a retry and finish clean on the second
-// attempt, while raw validates the torn read — the §1 blindness the
-// SeqGuard wrapper exists to close.
+// attempt, while raw validates the torn read — the §1 blindness.
 func TestReadConsistentTornRead(t *testing.T) {
 	for _, r := range []Regime{Tagged, LLSC, Detector} {
 		g := mkRegime(t, r, 5)
@@ -66,98 +65,6 @@ func TestReadConsistentTornRead(t *testing.T) {
 	})
 	if !clean || attempts != 1 {
 		t.Fatalf("raw: attempts=%d clean=%v, want the documented single fooled attempt", attempts, clean)
-	}
-}
-
-// TestSeqGuardCatchesRawCycle wraps the raw guard with the seqlock counters
-// and re-runs the cycle: the version fence must catch what value comparison
-// cannot, and the following Load must report the interference as dirty.
-func TestSeqGuardCatchesRawCycle(t *testing.T) {
-	f := shmem.NewNativeFactory()
-	inner, err := NewRaw(f, 2, "g", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewSeq(inner, f, "g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Regime() != Raw || !g.Conditional() {
-		t.Fatalf("seq wrapper must delegate regime (%s) and conditionality", g.Regime())
-	}
-	reader, _ := g.Handle(0)
-	writer, _ := g.Handle(1)
-
-	attempts := 0
-	v, clean := ReadConsistent(reader, 0, func(Word) {
-		attempts++
-		if attempts == 1 {
-			cycle(t, writer, 5, 7)
-		}
-	})
-	if !clean || v != 5 || attempts != 2 {
-		t.Fatalf("seq(raw): v=%d clean=%v attempts=%d, want a retry then a clean 5", v, clean, attempts)
-	}
-	if d := g.Metrics().DirtyLoads; d < 1 {
-		t.Fatalf("seq layer recorded %d dirty loads, want ≥ 1 for the caught cycle", d)
-	}
-	if got := g.Peek(-1); got != 5 {
-		t.Fatalf("Peek = %d, want 5", got)
-	}
-}
-
-// TestSeqGuardDirtyLoadAcrossLoads checks the detecting-register semantics
-// of the wrapper: a write completed between two Loads is reported by the
-// second Load's dirty flag even when the value cycled back.
-func TestSeqGuardDirtyLoadAcrossLoads(t *testing.T) {
-	f := shmem.NewNativeFactory()
-	inner, _ := NewRaw(f, 2, "g", 5)
-	g, _ := NewSeq(inner, f, "g")
-	reader, _ := g.Handle(0)
-	writer, _ := g.Handle(1)
-
-	if _, dirty := reader.Load(); dirty {
-		t.Fatal("first Load must be clean")
-	}
-	cycle(t, writer, 5, 9)
-	v, dirty := reader.Load()
-	if v != 5 || !dirty {
-		t.Fatalf("Load after a restored cycle = (%d, dirty=%v), want (5, true)", v, dirty)
-	}
-	if _, dirty := reader.Load(); dirty {
-		t.Fatal("quiescent re-Load must be clean again")
-	}
-}
-
-// TestSeqGuardFailedCommitForcesRetryOnly checks the failure mode of the
-// always-bump protocol: a writer's failed commit inside a reader's window
-// costs the reader one spurious retry, never a stuck validate.
-func TestSeqGuardFailedCommitForcesRetryOnly(t *testing.T) {
-	f := shmem.NewNativeFactory()
-	inner, _ := NewRaw(f, 3, "g", 5)
-	g, _ := NewSeq(inner, f, "g")
-	reader, _ := g.Handle(0)
-	w1, _ := g.Handle(1)
-	w2, _ := g.Handle(2)
-
-	reader.Load()
-	// Arm w1 with a snapshot, let w2 win, then fail w1's commit inside the
-	// reader's window.
-	w1.Load()
-	w2.Load()
-	if !w2.Commit(8) {
-		t.Fatal("w2 commit failed")
-	}
-	if w1.Commit(9) {
-		t.Fatal("w1's stale commit must fail")
-	}
-	if reader.Validate() {
-		t.Fatal("a completed write (w2) inside the window must invalidate")
-	}
-	// The reader recovers immediately: re-Load, quiescent Validate passes.
-	reader.Load()
-	if !reader.Validate() {
-		t.Fatal("quiescent Validate must pass — failed commits cannot strand readers")
 	}
 }
 

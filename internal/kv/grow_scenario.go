@@ -8,64 +8,56 @@ import (
 	"abadetect/internal/trace"
 )
 
-// growScenarioKeys finds the three keys the resize script needs, by searching
-// the key space at construction time (the script is deterministic but the
-// hash is fixed, so the keys are found, not chosen): ka and kb hash even —
-// bucket 0 once the directory doubles to two buckets, with reversed-hash sort
-// keys preceding every dummy a split can mint — labeled so the global list
-// reads d0 → a → b regardless of insert order; kf hashes odd — bucket 1,
-// sorting after bucket 1's dummy.
-func growScenarioKeys() (ka, kb, kf Word) {
+// growScenarioKeys finds two keys that both hash even — bucket 0 once the
+// directory doubles to two buckets, so both sort before bucket 1's dummy.
+// The hash is fixed, so the keys are found, not chosen.
+func growScenarioKeys() (ka, kb Word) {
 	var even []Word
-	for k := Word(1); len(even) < 2 || kf == 0; k++ {
+	for k := Word(1); len(even) < 2; k++ {
 		if hash64(k)&1 == 0 {
-			if len(even) < 2 {
-				even = append(even, k)
-			}
-		} else if kf == 0 {
-			kf = k
+			even = append(even, k)
 		}
 	}
-	if sortKeyData(even[0]) > sortKeyData(even[1]) {
-		even[0], even[1] = even[1], even[0]
-	}
-	return even[0], even[1], kf
+	return even[0], even[1]
 }
 
-// MapGrowABAScenario plays the resize-under-traffic corruption script: a
-// victim deleter stalls mid-delete on a growing map, the adversary clears the
-// list behind it, the directory doubles, and the new bucket's lazy
-// initialization recycles a freed node into a dummy whose insert commit
-// restores exactly the link word the victim armed.
+// MapGrowABAScenario plays the §1 script across a directory doubling: a
+// victim deleter stalls with an unlink armed against the end of the list,
+// the directory doubles inside its window — so the end of bucket 0's run is
+// no longer the end of the list but bucket 1's new dummy — and the
+// adversary recycles both nodes back into their old order, restoring the
+// victim's armed link word.  The stale commit then cuts the new dummy off
+// the list.
 //
-// The map grows from one bucket with the node pool at its ceiling (capacity =
-// maxCapacity = 3), so recycling is immediate and the split is the only
-// source of fresh structure.  With the list d0 → a → b in nodes 1, 2, 3:
+// The map starts with one bucket, a directory ceiling of two, and its node
+// pool at its ceiling (capacity = maxCapacity = 2), so recycling is
+// immediate.  Both keys fall in bucket 0 at either size and share its sort
+// group, so the run keeps insertion order, newest first.  With the list
+// d0 → 2(ka) → 1(kb):
 //
-//  1. the victim begins Delete(ka): it marks node 2 and stalls holding the
-//     armed unlink next[d0]: 2 → 3;
-//  2. the adversary's Delete(kb) first helps the victim's stalled unlink
-//     (freeing node 2), then unlinks and frees node 3 — the free ring is
-//     [2, 3] and the list is just d0;
-//  3. the directory doubles (the forced split a threshold crossing would
-//     perform);
-//  4. the adversary's Put(kf, ·) lands in the new bucket 1: lazy bucket
-//     initialization allocates node 2 back as bucket 1's dummy, and since the
-//     dummy's sort key places it at the end of the now-empty run, its insert
-//     commit swings next[d0] back to 2<<1 — the victim's armed word, restored
-//     by the growth machinery itself — before the data insert links kf
-//     (node 3) after the dummy and the directory publishes head[1] → 2;
-//  5. the victim resumes: committing next[d0]: 2 → 3 splices the freshly
-//     minted dummy out from under its own bucket iff the guard is fooled — a
-//     raw guard is, leaving head[1] pointing at a node sitting in the free
-//     ring (the audit's BadShortcuts smoking gun); tagged/LL/SC/detector
-//     guards reject with a near-miss.
+//  1. the victim begins Delete(kb): its walk protects nodes 2 and 1, it
+//     marks node 1 and stalls holding the armed unlink next[2]: 1 → end;
+//  2. the adversary's Delete(ka) first helps the victim's stalled unlink
+//     (next[2]: 1 → end, freeing node 1), then unlinks and frees node 2 —
+//     the free ring is [1, 2] and the list is just d0;
+//  3. the directory doubles (the split a threshold crossing would
+//     perform): bucket 1's dummy is linked at the end of the list,
+//     d0 → d1;
+//  4. the adversary's Put(kb, ·) gets node 1 back and links it behind d0,
+//     and Put(ka, ·) gets node 2 back and links it in front of node 1,
+//     setting next[2] to 1 — the victim's armed word, restored
+//     bit-for-bit, with d0 → 2 → 1 → d1 underneath;
+//  5. the victim resumes: committing next[2]: 1 → end iff the guard is
+//     fooled — a raw guard is, cutting node 1 and bucket 1's dummy off the
+//     list and then freeing node 1 as its own: the live kb binding is lost
+//     and the audit reports the dummy in UnlinkedDummies; tagged/LL/SC/
+//     detector guards reject with a near-miss.
 //
-// Under a reclaimer the victim's published protection slots keep node 2 (hp
-// and epoch) and node 3 (epoch: limbo behind the victim's pin) out of the
-// allocator, so the adversary's growth path starves at the pool ceiling
-// before the recycle completes, and the stale commit fails on plain
-// inequality — the armed word never repeats — with zero near-misses:
+// Under a reclaimer the victim's two protection slots keep both freed nodes
+// out of the allocator (hp covers them directly, epoch holds them in limbo
+// behind the victim's pin), so the adversary's Put starves at the pool
+// ceiling before the recycle completes, and the stale commit fails on
+// plain inequality — the armed word never repeats — with zero near-misses:
 // prevention by allocation discipline, before the guard ever sees an ABA.
 func MapGrowABAScenario(f shmem.Factory, prot Protection, tagBits uint, opts ...apps.StructOption) (apps.ScenarioResult, error) {
 	var r apps.ScenarioResult
@@ -73,8 +65,8 @@ func MapGrowABAScenario(f shmem.Factory, prot Protection, tagBits uint, opts ...
 	rec.Watch(func(e trace.Event) bool {
 		return e.Kind == trace.KindGuardNearMiss || e.Kind == trace.KindExhaust
 	})
-	opts = append(opts, apps.WithGrowth(3), apps.WithTrace(rec))
-	m, err := NewMap(f, 2, 3, 1, prot, tagBits, opts...)
+	opts = append(opts, apps.WithGrowth(2), apps.WithTrace(rec))
+	m, err := newMap(f, 2, 2, 1, 2, prot, tagBits, opts)
 	if err != nil {
 		return r, err
 	}
@@ -86,38 +78,34 @@ func MapGrowABAScenario(f shmem.Factory, prot Protection, tagBits uint, opts ...
 	if err != nil {
 		return r, err
 	}
-	ka, kb, kf := growScenarioKeys()
-	// Setup: put in sort order so nodes 2 and 3 carry ka and kb — the list is
-	// d0(1) → a(2) → b(3) either way, but the script names nodes.
-	if !adversary.Put(ka, 101) || !adversary.Put(kb, 102) {
+	ka, kb := growScenarioKeys()
+	// Setup: the list d0 → 2(ka) → 1(kb).
+	if !adversary.Put(kb, 101) || !adversary.Put(ka, 102) {
 		return r, fmt.Errorf("kv: grow scenario setup puts failed")
 	}
-	// Victim: marks node 2 and stalls before the unlink, holding the armed
-	// commit next[d0]: 2 → 3 — and, when configured, its protection slots on
-	// nodes 1 and 2 (the two its walk traversed).
-	cur, succ, found := victim.DeleteBegin(ka)
-	if !found || cur != 2 || succ != 3 {
-		return r, fmt.Errorf("kv: grow scenario DeleteBegin = (%d,%d,%v), want (2,3,true)", cur, succ, found)
+	// Victim: marks node 1 and stalls before the unlink, holding the armed
+	// commit next[2]: 1 → end — and, when configured, its protection slots
+	// on nodes 2 and 1 (the two its walk traversed).
+	cur, succ, found := victim.DeleteBegin(kb)
+	if !found || cur != 1 || succ != 0 {
+		return r, fmt.Errorf("kv: grow scenario DeleteBegin = (%d,%d,%v), want (1,0,true)", cur, succ, found)
 	}
-	// Adversary: one Delete(kb) clears the whole run — its walk reaches the
-	// marked node 2 first and helps the victim's unlink (freeing it), then
-	// removes the live kb binding (freeing node 3).
-	if !adversary.Delete(kb) {
-		return r, fmt.Errorf("kv: grow scenario Delete(kb) failed")
+	// Adversary: one Delete(ka) clears the whole list — its walk helps the
+	// victim's unlink first (freeing node 1), then removes the live ka
+	// binding (freeing node 2).
+	if !adversary.Delete(ka) {
+		return r, fmt.Errorf("kv: grow scenario Delete(ka) failed")
 	}
-	// The resize: one forced directory doubling under the stalled delete (the
-	// scenario pool is too small for the threshold-derived bucket ceiling, so
-	// the split is forced through the in-package seam).
-	if !m.growBuckets(-1, int(m.grow.size.Read(-1)), true) {
+	// The resize: one directory doubling under the stalled delete.
+	if !adversary.GrowBuckets() {
 		return r, fmt.Errorf("kv: grow scenario directory doubling failed")
 	}
-	// The recycle leg: bucket 1 comes alive.  Unprotected, its dummy is node
-	// 2 — the dummy insert restores the victim's armed word — and its first
-	// binding is node 3; under a reclaimer the growth path starves at the
-	// ceiling instead.
-	r.Starved = !adversary.Put(kf, 104)
-	// Victim resumes: the unlink commit splices the new bucket's dummy out
-	// from under its published shortcut iff the guard is fooled.
+	// The recycle leg: both nodes come back in their old order, kb first so
+	// ka's insert sets next[2] to node 1.  Under a reclaimer the first Put
+	// starves at the ceiling instead.
+	r.Starved = !adversary.Put(kb, 103) || !adversary.Put(ka, 104)
+	// Victim resumes: the unlink commit cuts node 2 and the new dummy off
+	// the list iff the guard is fooled.
 	r.Fooled = victim.DeleteCommit()
 	audit := m.Audit()
 	r.Corrupt, r.Detail = audit.Corrupt(), audit.String()

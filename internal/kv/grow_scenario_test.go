@@ -11,10 +11,10 @@ import (
 
 // TestMapGrowABAScenarioLadder replays the resize-under-traffic script across
 // the protection ladder with immediate reuse: the raw guard is provably
-// fooled — the lazy bucket initialization of a fresh split recycles the freed
-// nodes into exactly the link word the stalled deleter armed — and corrupts
-// the map (a lost binding plus a cycle through the new dummy); a wide tag,
-// LL/SC, and the detector all reject the stale unlink and count the
+// fooled — the stalled deleter's armed "unlink to the end of the list" is
+// restored bit-for-bit after the directory doubled, so the stale commit cuts
+// the new bucket's dummy (and a live binding) off the list — while a wide
+// tag, LL/SC, and the detector all reject the stale unlink and count the
 // near-miss.
 func TestMapGrowABAScenarioLadder(t *testing.T) {
 	for _, tc := range []struct {
@@ -54,11 +54,10 @@ func TestMapGrowABAScenarioLadder(t *testing.T) {
 
 // TestMapGrowReclaimPreventsScenarioWithZeroNearMisses: raw+hp and raw+epoch
 // pass the resize script that raw+none provably corrupts, with zero guard
-// near-misses.  Unlike the fixed-map script, BOTH reclaimers prevent by
+// near-misses.  Unlike the one-bucket script, BOTH reclaimers prevent by
 // starvation here: the victim's two protection slots cover both freed nodes,
-// the pool is at its ceiling, and the growth path has nowhere else to
-// allocate from — so the recycle leg never runs and the marked link word
-// never repeats.
+// the pool is at its ceiling, and the recycle leg has nowhere else to
+// allocate from — so the armed link word never repeats.
 func TestMapGrowReclaimPreventsScenarioWithZeroNearMisses(t *testing.T) {
 	for _, rc := range []struct {
 		name string
@@ -79,7 +78,7 @@ func TestMapGrowReclaimPreventsScenarioWithZeroNearMisses(t *testing.T) {
 				t.Errorf("guard near-misses = %d, want 0 (prevention, not detection)", res.Guard.NearMisses)
 			}
 			if !res.Starved {
-				t.Errorf("growth path did not starve at the ceiling: %s", res.Detail)
+				t.Errorf("recycle leg did not starve at the ceiling: %s", res.Detail)
 			}
 		})
 	}

@@ -127,10 +127,10 @@ func TestGrowMapCeiling(t *testing.T) {
 		}
 		stored = append(stored, k)
 	}
-	// The ceiling pool holds dummies + live nodes; we must have far exceeded
-	// the initial capacity and stopped at (or just under) the ceiling.
-	if len(stored) < ceiling/2 {
-		t.Fatalf("only %d puts before exhaustion at ceiling %d", len(stored), ceiling)
+	// Dummies take no pool node, so every node up to the ceiling holds a
+	// binding.
+	if len(stored) != ceiling {
+		t.Fatalf("%d puts before exhaustion at ceiling %d", len(stored), ceiling)
 	}
 	if m.Capacity() != ceiling {
 		t.Fatalf("capacity at exhaustion = %d, want the ceiling %d", m.Capacity(), ceiling)
@@ -163,8 +163,12 @@ func TestGrowBucketsHook(t *testing.T) {
 	if m.Buckets() != 1 {
 		t.Fatalf("initial buckets = %d, want 1", m.Buckets())
 	}
+	h, err := m.Handle(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	doubles := 0
-	for m.GrowBuckets() {
+	for h.GrowBuckets() {
 		doubles++
 		if doubles > 20 {
 			t.Fatalf("GrowBuckets never hit the ceiling")
@@ -181,11 +185,10 @@ func TestGrowBucketsHook(t *testing.T) {
 	if a.Splits != int64(doubles) {
 		t.Errorf("splits = %d, want %d", a.Splits, doubles)
 	}
-	// Puts still conform with a fully pre-split directory.
-	h, err := m.Handle(0)
-	if err != nil {
-		t.Fatal(err)
+	if a.Dummies != m.Buckets() || a.UnlinkedDummies != 0 {
+		t.Errorf("dummies on the list = %d (unlinked %d), want one per bucket of %d", a.Dummies, a.UnlinkedDummies, m.Buckets())
 	}
+	// Puts still conform with a fully pre-split directory.
 	for k := Word(1); k <= 100; k++ {
 		if !h.Put(k, k+7) {
 			t.Fatalf("Put(%d) after pre-split failed", k)
@@ -268,15 +271,6 @@ func TestGrowMapConcurrent(t *testing.T) {
 	}
 }
 
-// TestGrowMapRejectsCombining documents the one unsupported composition.
-func TestGrowMapRejectsCombining(t *testing.T) {
-	f := shmem.NewNativeFactory()
-	_, err := NewMap(f, 2, 8, 1, apps.LLSC, 0, apps.WithGrowth(64), apps.WithCombining())
-	if err == nil {
-		t.Fatal("combining+growth accepted; want a construction error")
-	}
-}
-
 // TestGrowMapRejectsBadCeiling documents ceiling validation.
 func TestGrowMapRejectsBadCeiling(t *testing.T) {
 	f := shmem.NewNativeFactory()
@@ -333,7 +327,7 @@ func TestGrowMapSortInvariant(t *testing.T) {
 			t.Fatalf("Put(%d) failed", k)
 		}
 		if k%17 == 0 {
-			m.GrowBuckets() // force splits at awkward moments
+			h.GrowBuckets() // force splits at awkward moments
 		}
 		if k%5 == 0 {
 			h.Delete(k - 2)
@@ -343,8 +337,8 @@ func TestGrowMapSortInvariant(t *testing.T) {
 	if a.Disordered {
 		t.Fatalf("split order violated: %s", a)
 	}
-	if a.BadShortcuts > 0 {
-		t.Fatalf("bad bucket shortcuts: %s", a)
+	if a.UnlinkedDummies > 0 {
+		t.Fatalf("directory dummies off the list: %s", a)
 	}
 	if a.Corrupt() {
 		t.Fatalf("audit corrupt: %s", a)
@@ -355,7 +349,8 @@ func TestGrowMapSortInvariant(t *testing.T) {
 }
 
 // TestGrowMapHandlesAfterResize builds handles before any growth, grows, and
-// checks the old handles keep operating (lazy handle-table extension).
+// checks the old handles keep operating (handle tables extended after a
+// resize).
 func TestGrowMapHandlesAfterResize(t *testing.T) {
 	m := growMap(t, 2, 4, 512, apps.LLSC, 0)
 	h0, err := m.Handle(0)

@@ -15,7 +15,7 @@ const maxSpin = 10_000
 // NewMapInstance builds a map of the given capacity for the benchmark
 // matrices.  The fixed Worker workload cycles put/get/get/delete over a
 // small shared key range (cross-process contention on bucket heads and
-// chains); the richer Keyed seam lets the load generator substitute its own
+// runs); the richer Keyed seam lets the load generator substitute its own
 // arrival process, key popularity, and op mix.
 func NewMapInstance(f shmem.Factory, n, capacity int, mk guard.Maker, io apps.InstanceOptions) (apps.Instance, error) {
 	m, err := NewMap(f, n, capacity, capacity, 0, 0, io.StructOpts(mk)...)
@@ -110,16 +110,8 @@ func (in mapInstance) PoolStats() apps.PoolStats      { return in.m.PoolStats() 
 // GrowthStats exposes the resize counters and the capacity trajectory for
 // the E15 growth matrix: directory splits, node-segment appends, doublings
 // lost to a concurrent winner, and the capacity the map ended at.  All zero
-// motion on a fixed map.
+// motion on a map built without growth.
 func (in mapInstance) GrowthStats() (splits, appends, retries int64, capNow int) {
-	if in.m.grow == nil {
-		return 0, 0, 0, in.m.Capacity()
-	}
-	g := in.m.grow
-	return g.splits.Load(), g.appends.Load(), g.retries.Load(), in.m.Capacity()
-}
-
-func (in mapInstance) FastPathStats() apps.FastPathStats {
-	batches, ops := in.m.CombineStats()
-	return apps.FastPathStats{CombinedOps: ops, CombineBatches: batches}
+	m := in.m
+	return m.splits.Load(), m.appends.Load(), m.retries.Load(), m.Capacity()
 }

@@ -349,3 +349,49 @@ func TestMapMaxSpinBails(t *testing.T) {
 		t.Errorf("bailing corrupted the map: %s", a)
 	}
 }
+
+// TestMapSingleBucketRace: n processes churn one bucket with
+// put/overwrite/delete while readers poll the same keys on the wait-free
+// path, so every insert, mark and unlink lands in one run.  The audit
+// must balance and reads must never observe a torn binding.
+func TestMapSingleBucketRace(t *testing.T) {
+	for _, tc := range soundConfigs() {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 8
+			const perProc = 400
+			m := buildMap(t, n, 16, 1, tc.prot, tc.tagBits, tc.rc)
+			var wg sync.WaitGroup
+			for pid := 0; pid < n; pid++ {
+				h, err := m.Handle(pid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wg.Add(1)
+				go func(pid int, h *Handle) {
+					defer wg.Done()
+					key := Word(pid % 4) // 4 keys over 1 bucket: guaranteed collisions
+					for i := 0; i < perProc; i++ {
+						switch i % 4 {
+						case 0, 1:
+							h.Put(key, Word(pid)<<32|Word(i))
+						case 2:
+							// A hit must return some writer's full 64-bit
+							// binding, never a torn or recycled value.
+							if v, ok := h.Get(key); ok && v>>32 >= n {
+								t.Errorf("Get(%d) returned impossible value %#x", key, v)
+								return
+							}
+						case 3:
+							h.Delete(key)
+						}
+					}
+					h.pool.Drain()
+				}(pid, h)
+			}
+			wg.Wait()
+			if a := m.Audit(); a.Corrupt() {
+				t.Errorf("audit after single-bucket churn: %s", a)
+			}
+		})
+	}
+}

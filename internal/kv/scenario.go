@@ -9,20 +9,22 @@ import (
 )
 
 // MapABAScenario plays the §1 corruption script against the map: a victim
-// deleter marks the head-most node of a single-bucket chain and stalls
-// between the logical delete and the physical unlink, while the adversary
-// recycles nodes through the allocator until the bucket head *index* is
-// restored with a different chain underneath.
+// deleter marks the first node of a single-bucket run and stalls between
+// the logical delete and the physical unlink, while the adversary recycles
+// nodes through the allocator until the bucket's link *index* is restored
+// with a different run underneath.
 //
-// Concretely, on the chain head→3→2→1 (keys 3,2,1 in nodes 3,2,1):
+// With one bucket (the directory ceiling) every key shares one sort group,
+// so the run keeps insertion order, newest first.  Concretely, on the run
+// head→3→2→1 (keys 3,2,1 in nodes 3,2,1):
 //
 //  1. the victim begins Delete(3): it marks node 3 and stalls before the
 //     unlink commit head: 3 → 2;
-//  2. the adversary's Get(1) helps unlink the marked node 3 (freeing it),
-//     Delete(2) unlinks and frees node 2, and Put(4, ·) allocates — with
-//     immediate FIFO reuse it gets node 3 back and links it at the head, so
-//     the head word is 3<<1 again while node 2 is free and node 3 now
-//     carries key 4;
+//  2. the adversary's Delete(2) first helps unlink the marked node 3
+//     (freeing it), then unlinks and frees node 2, and Put(4, ·) allocates
+//     — with immediate FIFO reuse it gets node 3 back and links it at the
+//     front of the run, so the head word is 3 again while node 2 is free
+//     and node 3 now carries key 4;
 //  3. the victim resumes: committing head 3 → 2 swings the bucket onto the
 //     freed node 2 iff the guard is fooled — a raw guard is (the §1
 //     corruption: a doubled node, a lost binding), tagged/LL/SC/detector
@@ -53,7 +55,7 @@ func MapABAScenario(f shmem.Factory, prot Protection, tagBits uint, opts ...apps
 	if err != nil {
 		return r, err
 	}
-	// Setup: chain 3(key 3) -> 2(key 2) -> 1(key 1).
+	// Setup: run 3(key 3) -> 2(key 2) -> 1(key 1).
 	for i := 1; i <= 3; i++ {
 		if !adversary.Put(Word(i), Word(100+i)) {
 			return r, fmt.Errorf("kv: scenario setup put %d failed", i)
@@ -65,11 +67,11 @@ func MapABAScenario(f shmem.Factory, prot Protection, tagBits uint, opts ...apps
 	if !found || cur != 3 || succ != 2 {
 		return r, fmt.Errorf("kv: scenario DeleteBegin = (%d,%d,%v), want (3,2,true)", cur, succ, found)
 	}
-	// Adversary: the Get helps unlink the marked node 3 (one successful
-	// head swing, node 3 freed), the Delete removes node 2 (two more
-	// swings: nothing between 3's unlink and 2's? — one mark on next[2] and
-	// one head swing), and the Put recycles.  With immediate reuse the FIFO
-	// allocator hands node 3 back, so the head *word* is 3<<1 again.
+	// Adversary: the wait-free Get skips the marked node without helping;
+	// the Delete's walk helps unlink node 3 (one head swing, node 3 freed),
+	// then marks node 2 and swings the head past it.  With immediate reuse
+	// the FIFO allocator hands node 3 back to the Put, so the head *word* is
+	// 3 again.
 	if v, ok := adversary.Get(1); !ok || v != 101 {
 		return r, fmt.Errorf("kv: scenario Get(1) = (%d,%v), want (101,true)", v, ok)
 	}

@@ -286,11 +286,11 @@ var impls = []Impl{
 	{
 		ID:           "map",
 		Kind:         KindStructure,
-		Summary:      "lock-free hash map: guarded buckets and marked links over a recycled node pool; grows split-ordered to a ceiling",
+		Summary:      "split-ordered lock-free hash map: guarded bucket dummies and marked links over a recycled node pool; grows to a ceiling",
 		Theorem:      "§1 motivation (Michael [25] / Shalev–Shachnai split-ordered hash map)",
-		Space:        "B + 2·cap guards + 3·cap registers (cap, B grow geometrically to the ceiling)",
+		Space:        "B + cap guards + 2·cap registers + 2 resize words (cap, B grow geometrically to the ceiling)",
 		SpaceFn:      func(n int) int { return 0 }, // capacity/bucket-dependent, not m(n)
-		Steps:        "O(chain) + guard per link hop",
+		Steps:        "O(run) hops; each hop 1 guard Load + 1 key read + 1 Validate",
 		Bounded:      true,
 		Correct:      true,
 		NewStructure: kv.NewMapInstance,

@@ -100,3 +100,10 @@ func (s *Spine[T]) Grow(newLen int, build func(i int) (T, error)) (int, error) {
 	s.n.Store(int64(newLen))
 	return newLen, nil
 }
+
+// At returns a pointer to element i, for element types too wide to copy on
+// a hot path.  Lock-free; i must be below Len.
+func (s *Spine[T]) At(i int) *T {
+	k, off := s.seg(int64(i))
+	return &(*s.segs[k].Load())[off]
+}

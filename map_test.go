@@ -127,6 +127,37 @@ func TestNewMapOptionPlumbing(t *testing.T) {
 	}
 }
 
+// TestMapFootprintFormula pins the map's m(n) at the default LL/SC guard
+// (Figure 3: one CAS word per guard): B bucket-dummy guards plus cap
+// next-link guards over 2·cap key/value registers, plus the 2 resize words
+// (directory size, capacity snapshot), with B = cap rounded up to a power of
+// two.  At the benchmark's map-read-large shape, NewMap(8, 2^18+1024), that
+// is 524,288 + 263,168 guards + 526,336 registers + 2 = 1,313,794.  A map
+// built WithGrowth pays the same formula at its constructed size.
+func TestMapFootprintFormula(t *testing.T) {
+	const n, capacity = 8, 1000
+	want := 1024 + capacity + 2*capacity + 2
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"fixed", nil},
+		{"growth", []Option{WithGrowth(8 * capacity)}},
+	} {
+		m, err := NewMap(n, capacity, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp := m.Footprint()
+		if got := fp.Objects(); got != want {
+			t.Errorf("%s: footprint %s = %d objects, want B + cap guards + 2·cap registers + 2 = %d", tc.name, fp, got, want)
+		}
+		if fp.Registers != 2*capacity {
+			t.Errorf("%s: %d registers, want 2·cap = %d", tc.name, fp.Registers, 2*capacity)
+		}
+	}
+}
+
 // TestMapDeleteHooksPublic drives the experiment hooks through the public
 // API: DeleteBegin logically deletes, a helping traversal may finish the
 // unlink, and a stale DeleteCommit can never double-fire.

@@ -122,9 +122,9 @@ type StructureAudit struct {
 	// exchanged through a collision slot without touching the top-of-stack
 	// guard, and offers or takes that failed to pair.
 	ElimHits, ElimMisses int64
-	// CombinedOps and CombineBatches are the flat-combining counters (zero
-	// unless a map is built WithCombining): operations a combiner applied
-	// on behalf of other processes, and combiner passes that ran.
+	// CombinedOps and CombineBatches are always zero.  They stay because
+	// the benchmark's traced build fills them from the internal map; a
+	// change to the benchmark may drop them.
 	CombinedOps, CombineBatches int64
 	// ReadRetries and ReadFallbacks are the map's wait-free read-path
 	// counters: torn fast-path Get attempts that were detected and retried,
@@ -241,8 +241,9 @@ func WithLocalCache(capacity int) Option {
 // maxCapacity keys, with no stop-the-world: the node space extends by
 // geometric segment appends (existing nodes never move — new segments extend
 // the slab addressing), and the bucket directory doubles by split-ordered
-// recursive splitting (a new bucket is a lazily initialized shortcut into the
-// one global sorted list; no node is ever rehashed or migrated).  Both the
+// recursive splitting (each new bucket's dummy is linked into the one global
+// sorted list before the doubled size is published; no node is ever rehashed
+// or migrated).  Both the
 // split path and the append path run through guards of the selected
 // Protection, so resizing is exactly as ABA-(in)vulnerable as the traffic
 // around it — the deterministic resize corruption script provably fools
@@ -252,17 +253,6 @@ func WithLocalCache(capacity int) Option {
 // accept the option and ignore it.
 func WithGrowth(maxCapacity int) Option {
 	return func(o *options) { o.growTo = maxCapacity }
-}
-
-// WithCombining turns on flat combining for a map's hot buckets: one lock
-// word plus n publication slots per bucket; a writer that wins the lock
-// applies the other contenders' published operations back-to-back on a
-// cache-warm chain, and uncontended reads keep the plain lock-free path.
-// Combining is layered over the already-guarded structure, so it changes
-// the contended t(n), never the soundness story.  Structures without keyed
-// buckets accept the option and ignore it.
-func WithCombining() Option {
-	return func(o *options) { o.combining = true }
 }
 
 // WithTracing attaches a flight recorder to a structure: one fixed ring of
@@ -348,9 +338,6 @@ func (o options) structOpts(n int, mk guard.Maker) ([]apps.StructOption, *trace.
 	}
 	if o.localCache != 0 {
 		opts = append(opts, apps.WithLocalCache(o.localCache))
-	}
-	if o.combining {
-		opts = append(opts, apps.WithCombining())
 	}
 	if o.growTo != 0 {
 		opts = append(opts, apps.WithGrowth(o.growTo))
@@ -578,10 +565,10 @@ func (h *QueueHandle) Peek() (Word, bool) { return h.inner.Peek() }
 // path as Peek.
 func (h *QueueHandle) IsEmpty() bool { return h.inner.IsEmpty() }
 
-// Map is a sharded lock-free hash map over a fixed pool of recycled
+// Map is a split-ordered lock-free hash map over a pool of recycled
 // index-based nodes, shared by n processes — the canonical cache-shaped
-// workload of the traffic layer.  Every bucket head and every node's next
-// link is guarded by the selected Protection, and node recycling routes
+// workload of the traffic layer.  Every bucket's dummy link and every node's
+// next link is guarded by the selected Protection, and node recycling routes
 // through the allocator (and, with WithReclamation, a safe-memory-
 // reclamation scheme), so the remove–recycle–reinsert ABA of §1 is
 // reproducible and preventable on a keyed structure exactly as on the
@@ -596,15 +583,11 @@ type Map struct {
 // bucket count defaults to the capacity rounded up to a power of two.
 func NewMap(n, capacity int, opts ...Option) (*Map, error) {
 	o := buildOptions(opts)
-	// A link word carries the node index plus the mark bit — and with
-	// WithGrowth the index must address the ceiling, not the initial
-	// capacity, so the tag-width check prices the largest map this one can
-	// become.
-	refCap := capacity
-	if o.growTo > refCap {
-		refCap = o.growTo
-	}
-	if err := o.checkTagBits(shmem.BitsFor(refCap+1) + 1); err != nil {
+	// A link word carries a node index or bucket number plus the dummy and
+	// mark bits — and with WithGrowth the index must address the ceiling,
+	// not the initial capacity, so the tag-width check prices the largest
+	// map this one can become.
+	if err := o.checkTagBits(kv.LinkBits(capacity, capacity, o.growTo)); err != nil {
 		return nil, err
 	}
 	f := o.factory()
@@ -663,7 +646,6 @@ func (m *Map) FreelistMetrics() GuardMetrics { return publicMetrics(m.inner.Free
 func (m *Map) Audit() StructureAudit {
 	a := m.inner.Audit()
 	out := poolAudit(a.Corrupt(), a.String(), m.inner.PoolStats())
-	out.CombineBatches, out.CombinedOps = m.inner.CombineStats()
 	out.ReadRetries, out.ReadFallbacks = a.ReadRetries, a.ReadFallbacks
 	out.Splits, out.SegmentAppends, out.ResizeRetries = a.Splits, a.SegmentAppends, a.ResizeRetries
 	return out
