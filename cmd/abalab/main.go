@@ -30,21 +30,8 @@
 //	abalab -trace-dump map  # run a deterministic ABA scenario and print its incident flight record
 //	abalab -json ...        # any of the above, as machine-readable JSON
 //
-// Benchmark regression check: re-run the throughput experiments (E10 base
-// objects, E11 application matrix, E12 reclamation matrix, E13 traffic
-// matrix, E14 read-scaling matrix, E15 growth matrix, E16 pressure matrix,
-// E17 observability matrix) and diff them against a committed snapshot
-// (BENCH_baseline.json is the seed, BENCH_pr2.json the slab/devirtualized
-// substrate, BENCH_pr3.json adds the application matrix, BENCH_pr4.json the
-// reclamation matrix, BENCH_pr5.json the map and traffic matrices,
-// BENCH_pr6.json the fast-path variants and backpressure profiles,
-// BENCH_pr7.json the wait-free read paths and the read-scaling matrix,
-// BENCH_pr8.json the growth matrix, BENCH_pr9.json the reclamation-pressure
-// matrix, BENCH_pr10.json the observability matrix — and, from pr10 on, a
-// Machine header identifying the recording host, echoed by -bench-compare):
-//
-//	abalab -bench-compare BENCH_pr10.json
-//	abalab -json > BENCH_pr11.json   # record a new snapshot
+// Performance is measured by the repository benchmark (perfbench/, declared
+// in BENCHMARK.json), not by this command: its tables are single runs.
 package main
 
 import (
@@ -72,7 +59,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("abalab", flag.ContinueOnError)
 	var (
-		only     = fs.String("run", "", "run a single experiment (E1..E15)")
+		only     = fs.String("run", "", "run a single experiment by ID (see -list)")
 		list     = fs.Bool("list", false, "list experiments and implementations, then exit")
 		impl     = fs.String("impl", "", "inspect a registered implementation by ID (or 'all')")
 		app      = fs.String("app", "", "run the application matrix: a structure ID (stack, queue, event) or 'all'")
@@ -84,7 +71,6 @@ func run(args []string, out io.Writer) error {
 		pressure = fs.String("pressure", "", "run the reclamation-pressure matrix (E16): 'full' or 'smoke' (trimmed per-cell ops for CI)")
 		n        = fs.Int("n", 8, "process count for -impl")
 		asJSON   = fs.Bool("json", false, "emit machine-readable JSON instead of tables")
-		compare  = fs.String("bench-compare", "", "diff fresh throughput runs (E10/E11/E12/E13) against a benchmark snapshot (e.g. BENCH_pr6.json)")
 		serveAt  = fs.String("serve", "", "serve live metrics over a traced structure under background churn at this address (e.g. :8080): /metrics, /debug/vars, /trace, /debug/pprof")
 		dump     = fs.String("trace-dump", "", "run a deterministic ABA scenario (stack, queue, map, map-grow, or 'all') under raw+none and pretty-print its incident flight record")
 		seed     = fs.Uint64("seed", 0, "override the load profiles' RNG seed for -load runs (0 = each profile's committed default)")
@@ -115,28 +101,6 @@ func run(args []string, out io.Writer) error {
 
 	if *dump != "" {
 		return runTraceDump(out, *dump)
-	}
-
-	if *compare != "" {
-		snap, err := bench.LoadSnapshot(*compare)
-		if err != nil {
-			return err
-		}
-		tables, _, err := bench.CompareThroughput(snap.Tables)
-		if err != nil {
-			return err
-		}
-		if !*asJSON {
-			// A cross-machine or cross-toolchain diff is context every
-			// verdict below depends on — print both headers first.
-			if snap.Machine == (bench.Machine{}) {
-				fmt.Fprintln(out, "snapshot machine: unrecorded (pre-envelope snapshot)")
-			} else {
-				fmt.Fprintf(out, "snapshot machine: %s\n", snap.Machine)
-			}
-			fmt.Fprintf(out, "current machine:  %s\n\n", bench.CurrentMachine())
-		}
-		return emit(tables)
 	}
 
 	if *grow {

@@ -147,44 +147,6 @@ func TestImplUnknown(t *testing.T) {
 	}
 }
 
-func TestBenchCompare(t *testing.T) {
-	// The committed PR2 snapshot must be loadable and comparable: every E10
-	// row of the snapshot reappears in a fresh run with a parsed speedup.
-	var buf bytes.Buffer
-	if err := run([]string{"-bench-compare", "../../BENCH_pr2.json", "-json"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		ID   string
-		Rows [][]string
-	}
-	unmarshalTables(t, buf.Bytes(), &tables)
-	if len(tables) != 1 || tables[0].ID != "E10-compare" {
-		t.Fatalf("unexpected JSON shape: %+v", tables)
-	}
-	if len(tables[0].Rows) == 0 {
-		t.Error("comparison has no rows")
-	}
-	for _, row := range tables[0].Rows {
-		if len(row) != 5 {
-			t.Errorf("comparison row %v has %d cells, want 5", row, len(row))
-		}
-		if row[4] == "new" {
-			t.Errorf("row %v missing from the committed snapshot", row)
-		}
-		if row[4] == "removed" {
-			t.Errorf("snapshot row %v no longer produced by a fresh run", row)
-		}
-	}
-}
-
-func TestBenchCompareMissingFile(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-bench-compare", "no-such-snapshot.json"}, &buf); err == nil {
-		t.Error("want error for missing snapshot file")
-	}
-}
-
 func TestJSONExperiment(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-run", "E2", "-json"}, &buf); err != nil {
@@ -247,148 +209,6 @@ func TestAppUnknownStructure(t *testing.T) {
 	}
 }
 
-func TestBenchComparePR3CoversApps(t *testing.T) {
-	// The PR3 snapshot carries both throughput tables, so the comparison
-	// must too — E10 for base objects and E11 for the application matrix.
-	var buf bytes.Buffer
-	if err := run([]string{"-bench-compare", "../../BENCH_pr3.json", "-json"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		ID   string
-		Rows [][]string
-	}
-	unmarshalTables(t, buf.Bytes(), &tables)
-	if len(tables) != 2 || tables[0].ID != "E10-compare" || tables[1].ID != "E11-compare" {
-		t.Fatalf("unexpected JSON shape: %+v", tables)
-	}
-	for _, tbl := range tables {
-		for _, row := range tbl.Rows {
-			// The map structure postdates the PR3 snapshot, so its rows are
-			// legitimately "new"; anything else must line up.
-			if row[4] == "new" && !strings.HasPrefix(row[0], "map/") && !pr9Row(row[0]) {
-				t.Errorf("%s row %v missing from the committed snapshot", tbl.ID, row)
-			}
-			if row[4] == "removed" {
-				t.Errorf("%s snapshot row %v no longer produced by a fresh run", tbl.ID, row)
-			}
-		}
-	}
-}
-
-// pr6Row reports whether an E13 row key names a cell that postdates the PR5
-// snapshot: a tuned fast-path variant (+elim/+fc/+cache label suffixes; +fc
-// only in snapshots, from the deleted flat-combining variant), one of the
-// backpressure profiles, or a stack traffic cell.
-func pr6Row(key string) bool {
-	for _, marker := range []string{"+elim", "+fc", "+cache", "/poisson-shed", "/burst-block"} {
-		if strings.Contains(key, marker) {
-			return true
-		}
-	}
-	return strings.HasPrefix(key, "stack/")
-}
-
-// fcRow reports whether a comparison row differs from a PR6–PR10 snapshot
-// only because the map's flat-combining variant was deleted: the snapshot's
-// map/…+fc+cache16 row reads "removed", and the map/…+cache16 row that
-// replaced it as the map's tuned variant reads "new".
-func fcRow(row []string) bool {
-	switch row[4] {
-	case "removed":
-		return strings.HasPrefix(row[0], "map/") && strings.Contains(row[0], "+fc+cache16")
-	case "new":
-		return strings.HasPrefix(row[0], "map/") && strings.HasSuffix(row[0], "+cache16")
-	}
-	return false
-}
-
-// pr9Row reports whether a row key names a cell that postdates the pre-PR9
-// snapshots: registering the epoch:auto reclaimer expanded every
-// registry-driven matrix with new scheme cells.
-func pr9Row(key string) bool { return strings.Contains(key, "epoch:auto") }
-
-func TestBenchComparePR5CoversTraffic(t *testing.T) {
-	// The PR5 snapshot carries all four throughput tables — E10 base
-	// objects, E11 applications (map included), E12 reclamation, and the
-	// E13 traffic matrix — and every pre-existing row key must line up with
-	// a fresh run.  E13 rows that postdate the snapshot (fast-path
-	// variants, backpressure profiles, stack cells) are legitimately "new";
-	// nothing may be "removed".
-	var buf bytes.Buffer
-	if err := run([]string{"-bench-compare", "../../BENCH_pr5.json", "-json"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		ID   string
-		Rows [][]string
-	}
-	unmarshalTables(t, buf.Bytes(), &tables)
-	wantIDs := []string{"E10-compare", "E11-compare", "E12-compare", "E13-compare"}
-	if len(tables) != len(wantIDs) {
-		t.Fatalf("comparison has %d tables, want %d", len(tables), len(wantIDs))
-	}
-	for i, tbl := range tables {
-		if tbl.ID != wantIDs[i] {
-			t.Fatalf("table %d is %q, want %q", i, tbl.ID, wantIDs[i])
-		}
-		if len(tbl.Rows) == 0 {
-			t.Errorf("%s has no rows", tbl.ID)
-		}
-		for _, row := range tbl.Rows {
-			if row[4] == "new" && !pr9Row(row[0]) && !(tbl.ID == "E13-compare" && pr6Row(row[0])) {
-				t.Errorf("%s row %v did not match the committed snapshot", tbl.ID, row)
-			}
-			if row[4] == "removed" {
-				t.Errorf("%s snapshot row %v no longer produced by a fresh run", tbl.ID, row)
-			}
-		}
-	}
-}
-
-func TestBenchComparePR6CoversTraffic(t *testing.T) {
-	// The PR6 snapshot was taken after the tuned variants, backpressure
-	// profiles, and stack cells landed, so a fresh run must line up with it
-	// exactly: no "new" rows, no "removed" rows, anywhere.  It also carries
-	// the p999 column, so the E13 comparison must grow the tail-gain
-	// columns.
-	var buf bytes.Buffer
-	if err := run([]string{"-bench-compare", "../../BENCH_pr6.json", "-json"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		ID     string
-		Header []string
-		Rows   [][]string
-	}
-	unmarshalTables(t, buf.Bytes(), &tables)
-	wantIDs := []string{"E10-compare", "E11-compare", "E12-compare", "E13-compare"}
-	if len(tables) != len(wantIDs) {
-		t.Fatalf("comparison has %d tables, want %d", len(tables), len(wantIDs))
-	}
-	for i, tbl := range tables {
-		if tbl.ID != wantIDs[i] {
-			t.Fatalf("table %d is %q, want %q", i, tbl.ID, wantIDs[i])
-		}
-		for _, row := range tbl.Rows {
-			if ((row[4] == "new" && !pr9Row(row[0])) || row[4] == "removed") && !fcRow(row) {
-				t.Errorf("%s row %v does not line up with the PR6 snapshot", tbl.ID, row)
-			}
-		}
-		if tbl.ID == "E13-compare" {
-			want := []string{"snapshot p999", "current p999", "tail gain"}
-			if len(tbl.Header) != 8 {
-				t.Fatalf("E13-compare header %v lacks the tail columns", tbl.Header)
-			}
-			for j, name := range want {
-				if tbl.Header[5+j] != name {
-					t.Errorf("E13-compare header[%d] = %q, want %q", 5+j, tbl.Header[5+j], name)
-				}
-			}
-		}
-	}
-}
-
 func TestScaleMatrixFlag(t *testing.T) {
 	// -scale runs E14; -reclaim narrows the scheme.  One structure and one
 	// scheme keep the smoke test cheap: 4 regimes × 4 worker counts.
@@ -421,51 +241,6 @@ func TestScaleMatrixFlag(t *testing.T) {
 	}
 	if err := run([]string{"-scale", "stack", "-reclaim", "no-such-scheme"}, &buf); err == nil {
 		t.Error("want error for unknown scheme filter")
-	}
-}
-
-func TestBenchComparePR7CoversReadScaling(t *testing.T) {
-	// The PR7 snapshot was taken after the wait-free read paths and the E14
-	// read-scaling matrix landed, so a fresh run must produce all five
-	// comparison tables and line up with the snapshot exactly — and the
-	// E14 diff must carry the scale columns alongside the throughput diff.
-	var buf bytes.Buffer
-	if err := run([]string{"-bench-compare", "../../BENCH_pr7.json", "-json"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		ID     string
-		Header []string
-		Rows   [][]string
-	}
-	unmarshalTables(t, buf.Bytes(), &tables)
-	wantIDs := []string{"E10-compare", "E11-compare", "E12-compare", "E13-compare", "E14-compare"}
-	if len(tables) != len(wantIDs) {
-		t.Fatalf("comparison has %d tables, want %d", len(tables), len(wantIDs))
-	}
-	for i, tbl := range tables {
-		if tbl.ID != wantIDs[i] {
-			t.Fatalf("table %d is %q, want %q", i, tbl.ID, wantIDs[i])
-		}
-		if len(tbl.Rows) == 0 {
-			t.Errorf("%s has no rows", tbl.ID)
-		}
-		for _, row := range tbl.Rows {
-			if ((row[4] == "new" && !pr9Row(row[0])) || row[4] == "removed") && !fcRow(row) {
-				t.Errorf("%s row %v does not line up with the PR7 snapshot", tbl.ID, row)
-			}
-		}
-		if tbl.ID == "E14-compare" {
-			want := []string{"snapshot scale", "current scale"}
-			if len(tbl.Header) < 7 {
-				t.Fatalf("E14-compare header %v lacks the scale columns", tbl.Header)
-			}
-			for j, name := range want {
-				if got := tbl.Header[len(tbl.Header)-2+j]; got != name {
-					t.Errorf("E14-compare header tail[%d] = %q, want %q", j, got, name)
-				}
-			}
-		}
 	}
 }
 
@@ -581,129 +356,6 @@ func TestReclaimMatrixFlag(t *testing.T) {
 	}
 	if err := run([]string{"-reclaim", "hp", "-app", "no-such-structure"}, &buf); err == nil {
 		t.Error("want error for unknown structure filter")
-	}
-}
-
-func TestBenchComparePR4CoversReclaim(t *testing.T) {
-	// The PR4 snapshot carries all three throughput tables; the comparison
-	// must diff E10, E11, and the new E12 reclamation matrix, and every row
-	// key must line up with a fresh run (no renames, no lost cells).
-	var buf bytes.Buffer
-	if err := run([]string{"-bench-compare", "../../BENCH_pr4.json", "-json"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		ID   string
-		Rows [][]string
-	}
-	unmarshalTables(t, buf.Bytes(), &tables)
-	if len(tables) != 3 || tables[0].ID != "E10-compare" || tables[1].ID != "E11-compare" || tables[2].ID != "E12-compare" {
-		t.Fatalf("unexpected JSON shape: %+v", tables)
-	}
-	for _, tbl := range tables {
-		for _, row := range tbl.Rows {
-			// Map rows postdate the PR4 snapshot (see the PR3 test); every
-			// pre-existing cell must still line up.
-			if row[4] == "new" && !strings.HasPrefix(row[0], "map/") && !pr9Row(row[0]) {
-				t.Errorf("%s row %v missing from the committed snapshot", tbl.ID, row)
-			}
-			if row[4] == "removed" {
-				t.Errorf("%s snapshot row %v no longer produced by a fresh run", tbl.ID, row)
-			}
-		}
-	}
-}
-
-func TestBenchPR8SnapshotCarriesGrowthMatrix(t *testing.T) {
-	// The PR8 snapshot is the first to carry E15.  A full -bench-compare
-	// against it re-runs every throughput experiment including the
-	// multi-minute 1M-key growth tier, so CI does that report-only; here we
-	// pin the committed snapshot's shape instead — all six throughput tables
-	// present, and the E15 table carrying the growth columns the comparison
-	// keys on — so a regenerated snapshot can't silently drop the matrix.
-	snapshot, err := bench.LoadTables("../../BENCH_pr8.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{"E10", "E11", "E12", "E13", "E14", "E15"} {
-		if _, ok := bench.FindTable(snapshot, id); !ok {
-			t.Errorf("BENCH_pr8.json lacks the %s table", id)
-		}
-	}
-	e15, _ := bench.FindTable(snapshot, "E15")
-	if e15 == nil {
-		return
-	}
-	for _, col := range []string{"ns/op", "p999", "splits", "appends", "resize-stalls", "outcome"} {
-		found := false
-		for _, h := range e15.Header {
-			if h == col {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("E15 snapshot lacks the %s column", col)
-		}
-	}
-	// 10k tier: 4 regimes × 3 schemes; 100k tier: 2 × 2; 1M tier: 1 × 2.
-	if len(e15.Rows) != 18 {
-		t.Errorf("E15 snapshot has %d rows, want 18", len(e15.Rows))
-	}
-	for _, row := range e15.Rows {
-		outcome := row[len(row)-1]
-		if !strings.HasPrefix(row[0], "map/raw") && strings.Contains(outcome, "corrupt=true") {
-			t.Errorf("snapshot sound cell %s corrupted: %s", row[0], outcome)
-		}
-	}
-}
-
-func TestBenchPR9SnapshotCarriesPressureMatrix(t *testing.T) {
-	// The PR9 snapshot is the first to carry E16.  As with PR8, the full
-	// -bench-compare re-run happens report-only in CI; here we pin the
-	// committed snapshot's shape — all seven throughput tables present, the
-	// E16 table carrying the pressure columns the comparison keys on, and
-	// the headline contrast recorded: the lazy fixed cadence starves
-	// allocations on the write-leaning cells while epoch:auto does not.
-	snapshot, err := bench.LoadTables("../../BENCH_pr9.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{"E10", "E11", "E12", "E13", "E14", "E15", "E16"} {
-		if _, ok := bench.FindTable(snapshot, id); !ok {
-			t.Errorf("BENCH_pr9.json lacks the %s table", id)
-		}
-	}
-	e16, _ := bench.FindTable(snapshot, "E16")
-	if e16 == nil {
-		return
-	}
-	cols := map[string]int{}
-	for i, h := range e16.Header {
-		cols[h] = i
-	}
-	for _, col := range []string{"ns/op", "p999", "limbo", "alloc-miss", "scans", "skips", "batches", "tune", "outcome"} {
-		if _, ok := cols[col]; !ok {
-			t.Errorf("E16 snapshot lacks the %s column", col)
-		}
-	}
-	// stack runs write-lean only (5 schemes); the map runs both profiles.
-	if len(e16.Rows) != 15 {
-		t.Errorf("E16 snapshot has %d rows, want 15", len(e16.Rows))
-	}
-	miss := map[string]string{}
-	for _, row := range e16.Rows {
-		if strings.Contains(row[cols["outcome"]], "corrupt=true") {
-			t.Errorf("snapshot cell %s corrupted under sound guards: %s", row[0], row[cols["outcome"]])
-		}
-		miss[row[0]] = row[cols["alloc-miss"]]
-	}
-	for _, structID := range []string{"stack", "map"} {
-		if miss[structID+"/epoch:64/write-lean"] == "0" {
-			t.Errorf("%s: snapshot's lazy-cadence foil recorded no alloc-misses", structID)
-		}
-		if got := miss[structID+"/epoch:auto/write-lean"]; got != "0" {
-			t.Errorf("%s: snapshot records %s epoch:auto alloc-misses, want 0", structID, got)
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"strconv"
 	"strings"
 	"testing"
@@ -296,6 +297,17 @@ func TestWriteJSON(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("JSON missing %s:\n%s", want, out)
 		}
+	}
+	// The output is the {Machine, Tables} envelope, stamped with this host.
+	var snap Snapshot
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatalf("-json output is not a Snapshot envelope: %v", err)
+	}
+	if snap.Machine != CurrentMachine() {
+		t.Errorf("Machine = %+v, want %+v", snap.Machine, CurrentMachine())
+	}
+	if len(snap.Tables) != 1 || snap.Tables[0].ID != "EX" || snap.Tables[0].Rows[0][0] != "1" {
+		t.Errorf("round trip mangled the tables: %+v", snap.Tables)
 	}
 }
 

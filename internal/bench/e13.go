@@ -26,8 +26,8 @@ func (t Tuning) zero() bool {
 	return t.Elimination == 0 && t.LocalCache == 0
 }
 
-// label renders the tuning as a row-label suffix, so tuned rows key
-// differently from baseline rows in -bench-compare.
+// label renders the tuning as a row-label suffix, so a tuned row is told
+// apart from its baseline row in the same table.
 func (t Tuning) label() string {
 	var b strings.Builder
 	if t.Elimination > 0 {
@@ -137,8 +137,7 @@ func E13LoadMatrixOpts(structFilter, schemeFilter, profileFilter string, opts E1
 						continue
 					}
 					// Read-mostly profiles belong to the E14 scaling matrix;
-					// in E13's default sweep they would only duplicate rows
-					// that predate every committed snapshot.
+					// E13's default sweep leaves them to it.
 					if (profileFilter == "" || profileFilter == "all") && p.ReadMostly {
 						continue
 					}
@@ -151,8 +150,8 @@ func E13LoadMatrixOpts(structFilter, schemeFilter, profileFilter string, opts E1
 						// An open-loop cell with no admission queue keeps
 						// absorbing arrivals no matter how far behind it
 						// falls, so its tail percentiles measure backlog
-						// depth, not per-op service time.  Tag the row so
-						// regression gates can judge it accordingly.
+						// depth, not per-op service time.  Tag the row so a
+						// reader does not take those tails for latency.
 						if p.Arrival != load.Closed && p.Queue == 0 {
 							outcome += " backlog-dominated"
 						}
@@ -195,7 +194,7 @@ func E13LoadMatrixOpts(structFilter, schemeFilter, profileFilter string, opts E1
 	t.AddNote("fast-path reads elim=hits/misses (elimination exchanges), cache=hits (local free-stack allocs); tuned rows carry a +elim/+cache label suffix.")
 	t.AddNote("keyed structures receive the profile's Zipf popularity and get/put/delete mix through the Keyed seam; others run their fixed op under the same arrival process.")
 	t.AddNote("raw+none is the §1 victim (a corrupt audit is the expected result); the sound regimes and the hp/epoch reclaimers must audit clean under every profile.")
-	t.AddNote("rows tagged backlog-dominated are unthrottled open loops: their tails measure how deep the backlog grew, not per-op service time, so -bench-compare reports them without gating on their tail gain.")
+	t.AddNote("rows tagged backlog-dominated are unthrottled open loops: their tails measure how deep the backlog grew, not per-op service time, and the tag is the outcome label that says so.")
 	return t, nil
 }
 

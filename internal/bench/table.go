@@ -78,11 +78,10 @@ func FprintAll(w io.Writer, tables []*Table) error {
 	return nil
 }
 
-// Machine identifies the host a benchmark snapshot was recorded on — the
-// context every ns/op comparison silently assumes.  It is stamped on every
-// snapshot WriteJSON emits and echoed by -bench-compare, so a diff across
-// machines or toolchains announces itself instead of masquerading as a
-// regression.
+// Machine identifies the host a set of tables was recorded on — the context
+// every ns/op figure silently assumes.  WriteJSON stamps it on every JSON
+// envelope and abalab -serve prints it, so a figure read on another machine
+// or toolchain says so.
 type Machine struct {
 	// GoMaxProcs and NumCPU are the scheduler width and the host's logical
 	// CPU count at recording time.
@@ -112,22 +111,21 @@ func CurrentMachine() Machine {
 	return m
 }
 
-// String renders the header line -bench-compare prints.
+// String renders the one-line header form.
 func (m Machine) String() string {
 	return fmt.Sprintf("GOMAXPROCS=%d NumCPU=%d %s commit=%s", m.GoMaxProcs, m.NumCPU, m.GoVersion, m.Commit)
 }
 
-// Snapshot is the on-disk envelope of a BENCH_*.json file: the tables plus
-// the machine header they were recorded on.
+// Snapshot is the JSON envelope abalab -json emits: the tables plus the
+// machine header they were recorded on.
 type Snapshot struct {
 	Machine Machine
 	Tables  []*Table
 }
 
 // WriteJSON renders tables as an indented JSON envelope — the machine-
-// readable form behind abalab -json and the BENCH_*.json snapshots — with
-// the recording host's Machine header stamped on top.  (Snapshots up to
-// BENCH_pr9.json are bare arrays; LoadTables reads both forms.)
+// readable form behind abalab -json — with the recording host's Machine
+// header stamped on top.
 func WriteJSON(w io.Writer, tables []*Table) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -17,8 +17,8 @@ type Word = shmem.Word
 // throughput of every registered implementation plus the concurrent
 // throughput of the sharded detecting array — the repository's scaling
 // trajectory.  Every row is derived from the registry; a new
-// implementation shows up here (and in abalab -json / BENCH_baseline.json)
-// without any edit to this file.
+// implementation shows up here (and in abalab -json) without any edit to
+// this file.
 func E10Throughput() (*Table, error) {
 	t := &Table{
 		ID:     "E10",
