@@ -298,7 +298,23 @@ func TestWriteJSON(t *testing.T) {
 			t.Errorf("JSON missing %s:\n%s", want, out)
 		}
 	}
-	// The output is the {Machine, Tables} envelope, stamped with this host.
+}
+
+// TestLoadTablesRoundTrip reads abalab -json output back: it is the
+// {Machine, Tables} envelope, stamped with this host, and decodes to the
+// tables that were written.
+func TestLoadTablesRoundTrip(t *testing.T) {
+	tables := []*Table{{
+		ID:     "E10",
+		Title:  "t",
+		Header: []string{"implementation", "kind", "workload", "ops", "ns/op", "Mops/s"},
+		Rows:   [][]string{{"fig4", "detector", "DWrite+DRead pair", "1000", "42.0", "23.81"}},
+		Notes:  []string{"n"},
+	}}
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, tables); err != nil {
+		t.Fatal(err)
+	}
 	var snap Snapshot
 	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
 		t.Fatalf("-json output is not a Snapshot envelope: %v", err)
@@ -306,8 +322,9 @@ func TestWriteJSON(t *testing.T) {
 	if snap.Machine != CurrentMachine() {
 		t.Errorf("Machine = %+v, want %+v", snap.Machine, CurrentMachine())
 	}
-	if len(snap.Tables) != 1 || snap.Tables[0].ID != "EX" || snap.Tables[0].Rows[0][0] != "1" {
-		t.Errorf("round trip mangled the tables: %+v", snap.Tables)
+	got := snap.Tables
+	if len(got) != 1 || got[0].ID != "E10" || got[0].Rows[0][4] != "42.0" || got[0].Notes[0] != "n" {
+		t.Errorf("round trip mangled the tables: %+v", got)
 	}
 }
 
