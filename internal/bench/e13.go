@@ -193,7 +193,7 @@ func E13LoadMatrixOpts(structFilter, schemeFilter, profileFilter string, opts E1
 	t.AddNote("ops/ns-op/goodput (Mops/s) count *admitted* operations; shed is the count turned away at the admission queue, so goodput vs shed is the backpressure trade made explicit.")
 	t.AddNote("fast-path reads elim=hits/misses (elimination exchanges), cache=hits (local free-stack allocs); tuned rows carry a +elim/+cache label suffix.")
 	t.AddNote("keyed structures receive the profile's Zipf popularity and get/put/delete mix through the Keyed seam; others run their fixed op under the same arrival process.")
-	t.AddNote("raw+none is the §1 victim (a corrupt audit is the expected result); the sound regimes and the hp/epoch reclaimers must audit clean under every profile.")
+	t.AddNote("raw+none is the §1 victim, but these free-running rows usually audit clean (a corrupt audit is possible, not expected); the deterministic scenarios (E6's stack and queue scripts, the map script behind abalab -trace-dump) are what demonstrate the victim.  The sound regimes and the hp/epoch reclaimers must audit clean under every profile.")
 	t.AddNote("rows tagged backlog-dominated are unthrottled open loops: their tails measure how deep the backlog grew, not per-op service time, and the tag is the outcome label that says so.")
 	return t, nil
 }

@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"abadetect/internal/llsc"
 	"abadetect/internal/shmem"
 )
 
@@ -107,55 +108,97 @@ type Metrics struct {
 	DirtyLoads int64
 }
 
-// metrics is the shared atomic backing of Metrics, sharded across
-// cache-line padded stripes (shmem.Stripes of them) so the hot-path bumps of
-// distinct workers never contend on one atomic word: on a read-mostly
-// workload the metrics of a popular guard would otherwise be the one shared
-// write left on the clean path.  Handles cache their stripe
-// (shmem.StripeFor(pid)) at construction, so no bump pays a pid hash.
+// metrics is the shared atomic backing of Metrics: four counters inline in
+// the guard, which inflate to cache-line padded stripes (shmem.Stripes of
+// them, one per shmem.StripeFor(pid)) the first time a bump loses a race —
+// LongAdder's rule.  An uncontended guard, which is almost every link of a
+// large structure, keeps its counters in 40 bytes of its own and never
+// allocates a lane; a contended one (a stack head two workers fight over)
+// moves its bumps to per-stripe lines on the first collision, so the
+// instrumentation stops serializing the workers it observes.  Lanes are
+// allocated at most once per guard: concurrent inflations race on one
+// pointer CAS and the losers use the winner's lanes.  Handles cache their
+// stripe at construction, so no bump pays a pid hash.
 //
-// The zero value is not usable; constructors call newMetrics.
+// The zero value is ready to use.
 type metrics struct {
-	lanes []metricsLane
+	base  [numCounters]atomic.Int64
+	lanes atomic.Pointer[[]metricsLane] // nil until the first lost bump
 }
+
+// The four counters, by index into metrics.base and metricsLane.c.
+const (
+	cCommits = iota
+	cRejected
+	cNearMisses
+	cDirty
+	numCounters
+)
 
 // metricsLane is one stripe's counters, padded to a whole cache line.
 type metricsLane struct {
-	commits    atomic.Int64
-	rejected   atomic.Int64
-	nearMisses atomic.Int64
-	dirtyLoads atomic.Int64
-	_          [shmem.CacheLineBytes - 32]byte
+	c [numCounters]atomic.Int64
+	_ [shmem.CacheLineBytes - 8*numCounters]byte
 }
 
-func newMetrics() metrics {
-	return metrics{lanes: make([]metricsLane, shmem.Stripes())}
-}
-
-func (m *metrics) addCommit(lane int)   { m.lanes[lane].commits.Add(1) }
-func (m *metrics) addRejected(lane int) { m.lanes[lane].rejected.Add(1) }
-func (m *metrics) addNearMiss(lane int) { m.lanes[lane].nearMisses.Add(1) }
-func (m *metrics) addDirty(lane int)    { m.lanes[lane].dirtyLoads.Add(1) }
-
-// snapshot sums the lanes.  Each per-lane load is atomic, but the cross-lane
-// sum is deliberately relaxed: under live traffic a bump can land in an
-// already-summed lane while its logical partner (e.g. the Rejected half of a
-// near-miss) lands in one still to come, so concurrent snapshots may be
-// mid-operation — individual counters are never torn, and totals are only
-// monotone per lane, not across the whole sum.  At quiescence (every handle
-// parked) the sum is exact and two back-to-back snapshots are equal; a
-// race-mode test at the repository root pins that contract.  Making the sum
-// linearizable would put a lock or a global sequence word on the hot path —
-// the exact cost the stripes exist to remove.
-func (m *metrics) snapshot() Metrics {
-	var out Metrics
-	for i := range m.lanes {
-		out.Commits += m.lanes[i].commits.Load()
-		out.Rejected += m.lanes[i].rejected.Load()
-		out.NearMisses += m.lanes[i].nearMisses.Load()
-		out.DirtyLoads += m.lanes[i].dirtyLoads.Load()
+// add bumps counter i: on its lane once the guard has inflated, else on
+// the inline word by one CAS, inflating if that CAS loses.
+func (m *metrics) add(lane, i int) {
+	if l := m.lanes.Load(); l != nil {
+		(*l)[lane].c[i].Add(1)
+		return
 	}
-	return out
+	c := &m.base[i]
+	if v := c.Load(); c.CompareAndSwap(v, v+1) {
+		return
+	}
+	m.inflate(lane, i)
+}
+
+// inflate is add's contended path: publish the lanes (or adopt the ones a
+// concurrent inflation published first) and land the bump there.
+func (m *metrics) inflate(lane, i int) {
+	l := m.lanes.Load()
+	if l == nil {
+		fresh := make([]metricsLane, shmem.Stripes())
+		if m.lanes.CompareAndSwap(nil, &fresh) {
+			l = &fresh
+		} else {
+			l = m.lanes.Load()
+		}
+	}
+	(*l)[lane].c[i].Add(1)
+}
+
+func (m *metrics) addCommit(lane int)   { m.add(lane, cCommits) }
+func (m *metrics) addRejected(lane int) { m.add(lane, cRejected) }
+func (m *metrics) addNearMiss(lane int) { m.add(lane, cNearMisses) }
+func (m *metrics) addDirty(lane int)    { m.add(lane, cDirty) }
+
+// snapshot sums the inline counters and the lanes.  Every bump lands
+// exactly once, on the inline word or on one lane, so at quiescence (every
+// handle parked) the sum is exact and two back-to-back snapshots are equal;
+// a race-mode test at the repository root pins that contract.  Each load is
+// atomic, but the sum across words is deliberately relaxed: under live
+// traffic a bump can land in an already-summed word while its logical
+// partner (e.g. the Rejected half of a near-miss) lands in one still to
+// come, so concurrent snapshots may be mid-operation — individual counters
+// are never torn, and totals are only monotone per word, not across the
+// whole sum.  Making the sum linearizable would put a lock or a global
+// sequence word on the hot path — the exact cost the lanes exist to remove.
+func (m *metrics) snapshot() Metrics {
+	var c [numCounters]int64
+	for i := range c {
+		c[i] = m.base[i].Load()
+	}
+	if l := m.lanes.Load(); l != nil {
+		for j := range *l {
+			for i := range c {
+				c[i] += (*l)[j].c[i].Load()
+			}
+		}
+	}
+	return Metrics{Commits: c[cCommits], Rejected: c[cRejected], NearMisses: c[cNearMisses], DirtyLoads: c[cDirty]}
 }
 
 // Add returns the field-wise sum of two metrics snapshots (for aggregating
@@ -237,18 +280,12 @@ func NewMaker(f shmem.Factory, n int, regime Regime, tagBits uint) Maker {
 			return NewRaw(f, n, name, init)
 		case Tagged:
 			return NewTagged(f, n, name, valueBits, tagBits, init)
-		case LLSC:
-			obj, err := llscNewCASBased(f, n, valueBits, init)
+		case LLSC, Detector:
+			obj, err := llsc.NewCASBased(f, n, valueBits, init)
 			if err != nil {
 				return nil, err
 			}
-			return NewLLSC(obj)
-		case Detector:
-			obj, err := llscNewCASBased(f, n, valueBits, init)
-			if err != nil {
-				return nil, err
-			}
-			return NewDetected(obj)
+			return newLLSCGuard(obj, regime)
 		default:
 			return nil, fmt.Errorf("guard: unknown regime %d", regime)
 		}

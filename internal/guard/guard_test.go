@@ -3,6 +3,7 @@ package guard
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"abadetect/internal/core"
 	"abadetect/internal/llsc"
@@ -323,6 +324,156 @@ func TestConcurrentCommitsRace(t *testing.T) {
 			m := g.Metrics()
 			if m.Commits == 0 {
 				t.Errorf("no commit ever succeeded: %s", m)
+			}
+		})
+	}
+}
+
+// metricsOf reaches the counters of a guard built by this package.
+func metricsOf(t *testing.T, g Guard) *metrics {
+	t.Helper()
+	switch g := g.(type) {
+	case *rawGuard:
+		return &g.m
+	case *taggedGuard:
+		return &g.m
+	case *llscGuard[llsc.CASBasedHandle, *llsc.CASBasedHandle]:
+		return &g.m
+	case *llscGuard[boxedHandle, *boxedHandle]:
+		return &g.m
+	case *detectionGuard:
+		return &g.m
+	}
+	t.Fatalf("no metrics for %T", g)
+	return nil
+}
+
+// TestHandleLayout pins every regime's guard handle to one cache line, so
+// two processes' handles never share one, and pins the Figure 3 guard
+// handle — the one a map holds per link per process — to a single
+// allocation holding the LL/SC handle state by value.
+func TestHandleLayout(t *testing.T) {
+	for name, size := range map[string]uintptr{
+		"raw":         unsafe.Sizeof(rawHandle{}),
+		"tagged":      unsafe.Sizeof(taggedHandle{}),
+		"fig3":        unsafe.Sizeof(llscHandle[llsc.CASBasedHandle, *llsc.CASBasedHandle]{}),
+		"boxed":       unsafe.Sizeof(llscHandle[boxedHandle, *boxedHandle]{}),
+		"detect-only": unsafe.Sizeof(detectionHandle{}),
+	} {
+		if size != shmem.CacheLineBytes {
+			t.Errorf("%s handle is %d B, want %d", name, size, shmem.CacheLineBytes)
+		}
+	}
+	for _, regime := range []Regime{LLSC, Detector} {
+		g := mustGuard(t, NewMaker(shmem.NewNativeFactory(), 4, regime, 0), "ref", 16, 0)
+		if allocs := testing.AllocsPerRun(100, func() { g.Handle(1) }); allocs != 1 {
+			t.Errorf("%s: Handle allocates %v times, want 1", regime, allocs)
+		}
+	}
+}
+
+// TestMetricsInflateOnContention: a Maker call allocates no metrics lanes,
+// uncontended traffic keeps the counters inline, and a lost bump inflates
+// them without losing or double-counting anything.
+func TestMetricsInflateOnContention(t *testing.T) {
+	for name, mk := range allMakers(2) {
+		g := mustGuard(t, mk, "ref", 8, 0)
+		m := metricsOf(t, g)
+		if m.lanes.Load() != nil {
+			t.Fatalf("%s: Maker allocated metrics lanes", name)
+		}
+		h := mustHandle(t, g, 0)
+		for i := 0; i < 10; i++ {
+			h.Load()
+			h.Commit(Word(i))
+		}
+		if m.lanes.Load() != nil {
+			t.Fatalf("%s: uncontended commits inflated the metrics", name)
+		}
+		m.inflate(shmem.StripeFor(1), cCommits)
+		if m.lanes.Load() == nil {
+			t.Fatalf("%s: inflate left no lanes", name)
+		}
+		h.Load()
+		h.Commit(99)
+		if got := g.Metrics().Commits; got != 12 {
+			t.Fatalf("%s: Commits = %d after inflation, want 12", name, got)
+		}
+	}
+}
+
+// TestMetricsConcurrentInflate races two inflations of fresh counters: one
+// set of lanes wins and both bumps land in the sum exactly once.
+func TestMetricsConcurrentInflate(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		var m metrics
+		var ready, wg sync.WaitGroup
+		start := make(chan struct{})
+		for pid := 0; pid < 2; pid++ {
+			ready.Add(1)
+			wg.Add(1)
+			go func(lane int) {
+				defer wg.Done()
+				ready.Done()
+				<-start
+				m.inflate(lane, cRejected)
+			}(shmem.StripeFor(pid))
+		}
+		ready.Wait()
+		close(start)
+		wg.Wait()
+		if got := m.snapshot(); got != (Metrics{Rejected: 2}) {
+			t.Fatalf("round %d: snapshot = %s, want rejected=2 only", round, got)
+		}
+	}
+}
+
+// TestMetricsExactAtQuiescence: four goroutines Load and Commit on one
+// guard, each counting what its own calls returned; once they are parked
+// the guard's snapshot equals those counts exactly, however many of the
+// bumps raced each other into inflating the counters.
+func TestMetricsExactAtQuiescence(t *testing.T) {
+	const procs, rounds = 4, 3000
+	for name, mk := range allMakers(procs) {
+		t.Run(name, func(t *testing.T) {
+			g := mustGuard(t, mk, "ref", 16, 0)
+			var want [procs]Metrics
+			var wg sync.WaitGroup
+			start := make(chan struct{}) // released together, to collide early
+			for pid := 0; pid < procs; pid++ {
+				h := mustHandle(t, g, pid)
+				wg.Add(1)
+				go func(pid int, h Handle) {
+					defer wg.Done()
+					<-start
+					got := &want[pid]
+					for i := 0; i < rounds; i++ {
+						if _, dirty := h.Load(); dirty {
+							got.DirtyLoads++
+						}
+						if h.Commit(Word(pid<<8 | i&0xff)) {
+							got.Commits++
+						} else {
+							got.Rejected++
+						}
+					}
+				}(pid, h)
+			}
+			close(start)
+			wg.Wait()
+			var sum Metrics
+			for _, w := range want {
+				sum = sum.Add(w)
+			}
+			got := g.Metrics()
+			if got.Commits != sum.Commits || got.Rejected != sum.Rejected || got.DirtyLoads != sum.DirtyLoads {
+				t.Fatalf("snapshot %s, want the handles' own counts %s", got, sum)
+			}
+			if got.Commits+got.Rejected != procs*rounds || got.NearMisses > got.Rejected {
+				t.Fatalf("snapshot %s does not account for %d commits", got, procs*rounds)
+			}
+			if again := g.Metrics(); again != got {
+				t.Fatalf("back-to-back quiescent snapshots differ: %s then %s", got, again)
 			}
 		})
 	}

@@ -9,12 +9,6 @@ import (
 	"abadetect/internal/shmem"
 )
 
-// llscNewCASBased is the default LL/SC construction behind NewMaker (the
-// paper's Figure 3: one bounded CAS word, O(n) steps).
-func llscNewCASBased(f shmem.Factory, n int, valueBits uint, init Word) (llsc.Object, error) {
-	return llsc.NewCASBased(f, n, valueBits, init)
-}
-
 // ---------------------------------------------------------------------------
 // Raw: bare CAS on the reference word.
 
@@ -31,7 +25,7 @@ func NewRaw(f shmem.Factory, n int, name string, init Word) (Guard, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("guard: raw guard needs n >= 1, got %d", n)
 	}
-	return &rawGuard{obj: f.NewCAS(name, init), n: n, m: newMetrics()}, nil
+	return &rawGuard{obj: f.NewCAS(name, init), n: n}, nil
 }
 
 func (g *rawGuard) Handle(pid int) (Handle, error) {
@@ -47,12 +41,15 @@ func (g *rawGuard) Conditional() bool { return true }
 func (g *rawGuard) Peek(pid int) Word { return g.obj.Read(pid) }
 func (g *rawGuard) Metrics() Metrics  { return g.m.snapshot() }
 
+// rawHandle and taggedHandle are padded to a whole cache line (64 B, pinned
+// by TestHandleLayout) so two processes' handles never share one.
 type rawHandle struct {
 	g      *rawGuard
 	pid    int
 	lane   int // metrics stripe, shmem.StripeFor(pid)
 	last   Word
 	loaded bool
+	_      [shmem.CacheLineBytes - 40]byte
 }
 
 func (h *rawHandle) Load() (Word, bool) {
@@ -100,7 +97,7 @@ func NewTagged(f shmem.Factory, n int, name string, valueBits, tagBits uint, ini
 	if err != nil {
 		return nil, fmt.Errorf("guard: tagged guard: %w", err)
 	}
-	return &taggedGuard{obj: f.NewCAS(name, codec.Encode(init, 0)), codec: codec, n: n, m: newMetrics()}, nil
+	return &taggedGuard{obj: f.NewCAS(name, codec.Encode(init, 0)), codec: codec, n: n}, nil
 }
 
 func (g *taggedGuard) Handle(pid int) (Handle, error) {
@@ -122,6 +119,7 @@ type taggedHandle struct {
 	lane   int  // metrics stripe, shmem.StripeFor(pid)
 	last   Word // the full packed word, tag included
 	loaded bool
+	_      [shmem.CacheLineBytes - 40]byte
 }
 
 func (h *taggedHandle) Load() (Word, bool) {
@@ -162,10 +160,50 @@ func (h *taggedHandle) Store(v Word) {
 // ---------------------------------------------------------------------------
 // LLSC and Detector (Figure 5 pairing): the reference in an LL/SC/VL object.
 
-type llscGuard struct {
-	obj    llsc.Object
-	regime Regime
+// handlePtr constrains an adaptor's PH to the pointer to its by-value
+// handle state H.
+type handlePtr[H any] interface {
+	*H
+	llsc.Handle
+}
+
+// binder is an LL/SC/VL object whose per-process handle the guard can hold
+// by value: Bind initializes *PH in place as process pid's handle.
+// llsc.CASBased binds its own handle type, so a Figure 3 guard handle is
+// one allocation that reaches X in one hop; any other llsc.Object binds
+// through boxedObject.
+type binder[H any, PH handlePtr[H]] interface {
+	llsc.Object
+	Bind(pid int, h PH) error
+}
+
+// boxedObject binds a foreign llsc.Object: its handle stays a separate
+// allocation behind the interface, held by the adaptor in a boxedHandle.
+type boxedObject struct{ llsc.Object }
+
+func (o boxedObject) Bind(pid int, h *boxedHandle) error {
+	inner, err := o.Handle(pid)
+	if err != nil {
+		return err
+	}
+	h.Handle = inner
+	return nil
+}
+
+// boxedHandle is the adaptor's slot for a foreign handle, padded so the
+// adaptor is a whole cache line (64 B, pinned by TestHandleLayout).  The
+// foreign handle it points to is not: ConstantTime's is 104 B (the 112-byte
+// size class) and Moir's 32 B, so two processes' handles on those objects
+// can share a line.
+type boxedHandle struct {
+	llsc.Handle
+	_ [24]byte
+}
+
+type llscGuard[H any, PH handlePtr[H]] struct {
 	m      metrics
+	obj    binder[H, PH]
+	regime Regime
 }
 
 // NewLLSC keeps the reference in obj: Load is LL, Commit is SC, Validate is
@@ -184,35 +222,42 @@ func NewDetected(obj llsc.Object) (Guard, error) {
 }
 
 func newLLSCGuard(obj llsc.Object, regime Regime) (Guard, error) {
-	if obj == nil {
+	switch o := obj.(type) {
+	case nil:
 		return nil, fmt.Errorf("guard: %s guard needs a non-nil LL/SC/VL object", regime)
+	case *llsc.CASBased:
+		return &llscGuard[llsc.CASBasedHandle, *llsc.CASBasedHandle]{obj: o, regime: regime}, nil
+	default:
+		return &llscGuard[boxedHandle, *boxedHandle]{obj: boxedObject{o}, regime: regime}, nil
 	}
-	return &llscGuard{obj: obj, regime: regime, m: newMetrics()}, nil
 }
 
-func (g *llscGuard) Handle(pid int) (Handle, error) {
-	h, err := g.obj.Handle(pid)
-	if err != nil {
+func (g *llscGuard[H, PH]) Handle(pid int) (Handle, error) {
+	h := &llscHandle[H, PH]{g: g, lane: int32(shmem.StripeFor(pid))}
+	if err := g.obj.Bind(pid, &h.h); err != nil {
 		return nil, err
 	}
-	return &llscHandle{g: g, h: h, lane: shmem.StripeFor(pid)}, nil
+	return h, nil
 }
 
-func (g *llscGuard) NumProcs() int     { return g.obj.NumProcs() }
-func (g *llscGuard) Regime() Regime    { return g.regime }
-func (g *llscGuard) Conditional() bool { return true }
-func (g *llscGuard) Peek(pid int) Word { return g.obj.Peek(pid) }
-func (g *llscGuard) Metrics() Metrics  { return g.m.snapshot() }
+func (g *llscGuard[H, PH]) NumProcs() int     { return g.obj.NumProcs() }
+func (g *llscGuard[H, PH]) Regime() Regime    { return g.regime }
+func (g *llscGuard[H, PH]) Conditional() bool { return true }
+func (g *llscGuard[H, PH]) Peek(pid int) Word { return g.obj.Peek(pid) }
+func (g *llscGuard[H, PH]) Metrics() Metrics  { return g.m.snapshot() }
 
-type llscHandle struct {
-	g      *llscGuard
-	h      llsc.Handle
-	lane   int  // metrics stripe, shmem.StripeFor(pid)
-	old    Word // cached value, valid while the link is
-	linked bool // false until this handle's first LL
+// llscHandle holds the object's handle state by value, so a Load or
+// Validate goes from this handle straight to the object's word.  Over a
+// Figure 3 object it is 64 B, one cache line (pinned by TestHandleLayout).
+type llscHandle[H any, PH handlePtr[H]] struct {
+	h      H
+	g      *llscGuard[H, PH]
+	old    Word  // cached value, valid while the link is
+	lane   int32 // metrics stripe, shmem.StripeFor(pid)
+	linked bool  // false until this handle's first LL
 }
 
-func (h *llscHandle) Load() (Word, bool) {
+func (h *llscHandle[H, PH]) Load() (Word, bool) {
 	// This is exactly the DRead of the paper's Figure 5: if the link is
 	// still valid, no successful SC — hence no write — linearized since the
 	// last LL, so the cached value is current and the load is clean.  Only
@@ -225,37 +270,39 @@ func (h *llscHandle) Load() (Word, bool) {
 	// state is per *process*, so a fresh handle for a pid whose earlier
 	// handle left a clean link would otherwise serve its stale
 	// initial-value cache.
+	ll := PH(&h.h)
 	if !h.linked {
-		h.old = h.h.LL()
+		h.old = ll.LL()
 		h.linked = true
 		return h.old, false
 	}
-	if h.h.VL() {
+	if ll.VL() {
 		return h.old, false
 	}
-	h.g.m.addDirty(h.lane)
-	h.old = h.h.LL()
+	h.g.m.addDirty(int(h.lane))
+	h.old = ll.LL()
 	return h.old, true
 }
 
-func (h *llscHandle) Commit(v Word) bool {
-	if h.h.SC(v) {
-		h.g.m.addCommit(h.lane)
+func (h *llscHandle[H, PH]) Commit(v Word) bool {
+	if PH(&h.h).SC(v) {
+		h.g.m.addCommit(int(h.lane))
 		return true
 	}
-	h.g.m.addRejected(h.lane)
+	h.g.m.addRejected(int(h.lane))
 	if h.g.obj.Peek(-1) == h.old {
-		h.g.m.addNearMiss(h.lane) // value restored, link gone: a prevented ABA
+		h.g.m.addNearMiss(int(h.lane)) // value restored, link gone: a prevented ABA
 	}
 	return false
 }
 
-func (h *llscHandle) Validate() bool { return h.h.VL() }
+func (h *llscHandle[H, PH]) Validate() bool { return PH(&h.h).VL() }
 
-func (h *llscHandle) Store(v Word) {
+func (h *llscHandle[H, PH]) Store(v Word) {
+	ll := PH(&h.h)
 	for {
-		h.h.LL()
-		if h.h.SC(v) {
+		ll.LL()
+		if ll.SC(v) {
 			return
 		}
 	}
@@ -284,7 +331,7 @@ func NewDetectionOnly(det core.Detector, init Word) (Guard, error) {
 	if det == nil {
 		return nil, fmt.Errorf("guard: detection-only guard needs a non-nil detector")
 	}
-	g := &detectionGuard{det: det, m: newMetrics()}
+	g := &detectionGuard{det: det}
 	g.shadow.Store(init)
 	return g, nil
 }
@@ -303,10 +350,13 @@ func (g *detectionGuard) Conditional() bool { return false }
 func (g *detectionGuard) Peek(int) Word     { return g.shadow.Load() }
 func (g *detectionGuard) Metrics() Metrics  { return g.m.snapshot() }
 
+// detectionHandle is padded to a whole cache line like the other regimes'
+// handles; the detector's own handle behind h is a separate allocation.
 type detectionHandle struct {
 	g    *detectionGuard
 	h    core.Handle
 	lane int // metrics stripe, shmem.StripeFor(pid)
+	_    [shmem.CacheLineBytes - 32]byte
 }
 
 func (h *detectionHandle) Load() (Word, bool) {

@@ -68,72 +68,101 @@ func (o *CASBased) Peek(pid int) Word { return o.codec.Value(o.x.Read(pid)) }
 
 // Handle returns process pid's handle.
 func (o *CASBased) Handle(pid int) (Handle, error) {
-	if pid < 0 || pid >= o.n {
-		return nil, fmt.Errorf("llsc: pid %d out of range [0,%d)", pid, o.n)
+	h := new(CASBasedHandle)
+	if err := o.Bind(pid, h); err != nil {
+		return nil, err
 	}
-	return &casBasedHandle{o: o, pid: pid, xd: o.xd}, nil
+	return h, nil
 }
 
-// casBasedHandle carries the paper's local flag b plus the direct accessor
-// to X, bound at Handle() time when the substrate devirtualizes.
-type casBasedHandle struct {
-	o   *CASBased
-	pid int
-	b   bool
-	xd  *atomic.Uint64
+// Bind initializes *h as process pid's handle, in place: a caller that
+// holds the handle by value (the guard adaptor) pays no allocation of its
+// own for it.
+func (o *CASBased) Bind(pid int, h *CASBasedHandle) error {
+	if pid < 0 || pid >= o.n {
+		return fmt.Errorf("llsc: pid %d out of range [0,%d)", pid, o.n)
+	}
+	*h = CASBasedHandle{
+		xd:    o.xd,
+		o:     o,
+		bit:   Word(1) << uint(pid),
+		max:   o.codec.MaxValue(),
+		pid:   int32(pid),
+		shift: uint8(o.n),
+	}
+	return nil
 }
 
-var _ Handle = (*casBasedHandle)(nil)
+// CASBasedHandle is process p's handle on a CASBased object: the paper's
+// local flag b plus p's projection of the codec — its mask bit, the value
+// shift n, the value bound — and the direct accessor to X, all bound by
+// Bind the way ConstantTime binds its layout.  LL, SC and VL therefore
+// reach X in one hop from the handle and never read the shared object
+// descriptor on the devirtualized path.  The zero value is unbound; use
+// CASBased.Handle or CASBased.Bind.
+type CASBasedHandle struct {
+	xd    *atomic.Uint64 // direct X, nil on indirect substrates
+	o     *CASBased
+	bit   Word // 1 << p: p's bit of the mask
+	max   Word // largest encodable value
+	pid   int32
+	shift uint8 // n: the value sits above the n-bit mask
+	b     bool
+}
+
+var _ Handle = (*CASBasedHandle)(nil)
 
 // read performs one shared read of X.
-func (h *casBasedHandle) read() Word {
+func (h *CASBasedHandle) read() Word {
 	if h.xd != nil {
 		return h.xd.Load()
 	}
-	return h.o.x.Read(h.pid)
+	return h.o.x.Read(int(h.pid))
 }
 
 // cas performs one shared CAS of X.
-func (h *casBasedHandle) cas(old, new Word) bool {
+func (h *CASBasedHandle) cas(old, new Word) bool {
 	if h.xd != nil {
 		return h.xd.CompareAndSwap(old, new)
 	}
-	return h.o.x.CompareAndSwap(h.pid, old, new)
+	return h.o.x.CompareAndSwap(int(h.pid), old, new)
 }
 
 // LL implements Figure 3 lines 14-25.
-func (h *casBasedHandle) LL() Word {
-	o := h.o
-	w := h.read()               // line 14
-	if !o.codec.Bit(w, h.pid) { // line 15: p's bit is 0
-		h.b = false             // line 16
-		return o.codec.Value(w) // line 17
+func (h *CASBasedHandle) LL() Word {
+	w := h.read()     // line 14
+	if w&h.bit == 0 { // line 15: p's bit is 0
+		h.b = false         // line 16
+		return w >> h.shift // line 17
 	}
-	for i := 0; i < o.n; i++ { // line 19
-		w2 := h.read()                              // line 20
-		if h.cas(w2, o.codec.ClearBit(w2, h.pid)) { // line 21
-			h.b = false              // line 22
-			return o.codec.Value(w2) // line 23
+	for i := 0; i < int(h.shift); i++ { // line 19: n attempts
+		w2 := h.read()            // line 20
+		if h.cas(w2, w2&^h.bit) { // line 21: a - 2^p
+			h.b = false          // line 22
+			return w2 >> h.shift // line 23
 		}
 	}
 	// n CAS failures: some SC succeeded while we spun (Claim 6).  Linearize
 	// at the line 14 read and remember the link is already invalid.
-	h.b = true              // line 24
-	return o.codec.Value(w) // line 25
+	h.b = true          // line 24
+	return w >> h.shift // line 25
 }
 
 // SC implements Figure 3 lines 1-8.
-func (h *casBasedHandle) SC(v Word) bool {
-	o := h.o
+func (h *CASBasedHandle) SC(v Word) bool {
 	if h.b { // line 1
 		return false
 	}
-	for i := 0; i < o.n; i++ { // line 2
-		w := h.read()              // line 3
-		if o.codec.Bit(w, h.pid) { // line 4: p's bit is 1
+	if v > h.max {
+		h.o.codec.Encode(v, 0) // cold: renders the panic
+	}
+	next := v<<h.shift | (Word(1)<<h.shift - 1) // (v, 2^n - 1)
+	for i := 0; i < int(h.shift); i++ {         // line 2
+		w := h.read()     // line 3
+		if w&h.bit != 0 { // line 4: p's bit is 1
 			return false // line 5
 		}
-		if h.cas(w, o.codec.Encode(v, o.codec.AllSet())) { // line 6
+		if h.cas(w, next) { // line 6
 			return true // line 7
 		}
 	}
@@ -141,7 +170,7 @@ func (h *casBasedHandle) SC(v Word) bool {
 }
 
 // VL implements Figure 3 lines 9-13.
-func (h *casBasedHandle) VL() bool {
-	w := h.read()                           // line 9
-	return !h.o.codec.Bit(w, h.pid) && !h.b // lines 10-13
+func (h *CASBasedHandle) VL() bool {
+	w := h.read()               // line 9
+	return w&h.bit == 0 && !h.b // lines 10-13
 }
